@@ -8,10 +8,12 @@ evaluation metrics used to verify them, plus an experiment CLI.
 
 from .autodiff import Tape, Tensor, backward, finite_difference_check
 from .core import (
+    AlternationStep,
     AlternatorModel,
     BatchTrajectories,
     NoiseSchedule,
     Trajectory,
+    alternate,
     build_model,
     default_schedule,
     encode,
@@ -21,7 +23,6 @@ from .core import (
     load_model,
     mean_x,
     mean_z,
-    sample_step,
     save_model,
     validate_schedule,
     vanilla_schedule,

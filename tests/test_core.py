@@ -10,14 +10,15 @@ from conftest import constant_network, make_model, zero_network
 
 from alternator.core import (
     NoiseSchedule,
+    alternate,
     encode,
+    encode_states,
     generate,
     generate_batch,
     linear_schedule,
     load_model,
     mean_x,
     mean_z,
-    sample_step,
     save_model,
     validate_schedule,
     vanilla_schedule,
@@ -166,11 +167,18 @@ def test_vanilla_dynamics_interpolates_previous_latent():
     assert np.array_equal(mean_x(model, z, t=1).data, expected_x)
 
 
+def _sample_step(model, z, t, noise_x, noise_z):
+    """One kernel step for one row: (x_t, z_t, mu_x, mu_z) as 1-D arrays."""
+    (s,) = alternate(model, np.atleast_2d(z), 1, t0=t - 1,
+                     eps_x=np.reshape(noise_x, (1, 1, -1)), eps_z=np.reshape(noise_z, (1, 1, -1)))
+    return s.x.data[0], s.z.data[0], s.mu_x.data[0], s.mu_z.data[0]
+
+
 def test_sample_step_zero_noise_returns_means(tiny_model):
     z = np.array([0.1, 0.2])
-    x_t, z_t, mu_x, mu_z = sample_step(tiny_model, z, 1, np.zeros(2), np.zeros(2))
-    assert np.array_equal(x_t.data, mu_x.data)
-    assert np.array_equal(z_t.data, mu_z.data)
+    x_t, z_t, mu_x, mu_z = _sample_step(tiny_model, z, 1, np.zeros(2), np.zeros(2))
+    assert np.array_equal(x_t, mu_x)
+    assert np.array_equal(z_t, mu_z)
 
 
 def test_sample_step_noise_linearity_exact():
@@ -181,9 +189,9 @@ def test_sample_step_noise_linearity_exact():
     zero_network(model.obs_noise_net)
     z = np.array([0.5, -0.25])
     n1 = np.array([1.0, -2.0])
-    x1, _, _, _ = sample_step(model, z, 1, n1, np.zeros(2))
-    x2, _, _, _ = sample_step(model, z, 1, 2.0 * n1, np.zeros(2))
-    assert np.array_equal(x2.data - x1.data, 0.5 * n1)
+    x1, _, _, _ = _sample_step(model, z, 1, n1, np.zeros(2))
+    x2, _, _, _ = _sample_step(model, z, 1, 2.0 * n1, np.zeros(2))
+    assert np.array_equal(x2 - x1, 0.5 * n1)
 
 
 def test_sample_step_noise_linearity_general():
@@ -191,18 +199,84 @@ def test_sample_step_noise_linearity_general():
     z = np.random.default_rng(0).normal(size=2)
     n1 = np.array([0.37, -1.21])
     delta = np.array([0.53, 0.11])
-    x1, _, _, _ = sample_step(model, z, 1, n1, np.zeros(2))
-    x2, _, _, _ = sample_step(model, z, 1, n1 + delta, np.zeros(2))
-    assert np.allclose(x2.data - x1.data, model.schedule.sigma_x * delta, atol=1e-14)
+    x1, _, _, _ = _sample_step(model, z, 1, n1, np.zeros(2))
+    x2, _, _, _ = _sample_step(model, z, 1, n1 + delta, np.zeros(2))
+    assert np.allclose(x2 - x1, model.schedule.sigma_x * delta, atol=1e-14)
 
 
 def test_sample_step_deterministic(tiny_model):
     z = np.array([0.1, 0.2])
     nx, nz = np.array([0.3, -0.1]), np.array([0.2, 0.8])
-    a = sample_step(tiny_model, z, 2, nx, nz)
-    b = sample_step(tiny_model, z, 2, nx, nz)
+    a = _sample_step(tiny_model, z, 2, nx, nz)
+    b = _sample_step(tiny_model, z, 2, nx, nz)
     for u, v in zip(a, b):
-        assert np.array_equal(u.data, v.data)
+        assert np.array_equal(u, v)
+
+
+# --- the kernel against hand-written per-step loops -----------------------------
+
+def _reference_generate(model, n, T, seed):
+    """The recursion written out, drawing noise step by step."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, model.d_z))
+    xs, zs, mu_xs, mu_zs = [], [z], [], []
+    for t in range(1, T + 1):
+        noise_x = rng.standard_normal((n, model.d_x))
+        noise_z = rng.standard_normal((n, model.d_z))
+        mu_x = mean_x(model, z, t).data
+        x = mu_x + model.schedule.sigma_x * noise_x
+        mu_z = mean_z(model, z, x, t).data
+        z = mu_z + model.schedule.sigma_z * noise_z
+        xs.append(x)
+        zs.append(z)
+        mu_xs.append(mu_x)
+        mu_zs.append(mu_z)
+    return [np.stack(a, axis=1) for a in (xs, zs, mu_xs, mu_zs)]
+
+
+def _reference_encode(model, xs, seed, mean_propagation):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(model.d_z)
+    mu_zs = []
+    for t in range(1, len(xs) + 1):
+        mu_z = mean_z(model, z, xs[t - 1], t).data
+        mu_zs.append(mu_z)
+        z = mu_z if mean_propagation else mu_z + model.schedule.sigma_z * rng.standard_normal(model.d_z)
+    return np.stack(mu_zs), z
+
+
+@pytest.mark.parametrize("dynamics", ["noise_models", "vanilla"])
+def test_generate_batch_matches_reference_loop_bitwise(dynamics):
+    model = make_model(d_x=3, d_z=2, T=5, seed=31, dynamics=dynamics)
+    got = generate_batch(model, 7, T=5, seed=4)
+    want = _reference_generate(model, 7, 5, seed=4)
+    for name, ref in zip(("xs", "zs", "mu_xs", "mu_zs"), want):
+        assert np.array_equal(getattr(got, name), ref), name
+
+
+@pytest.mark.parametrize("mean_propagation", [False, True])
+def test_encode_states_matches_reference_loop_bitwise(mean_propagation):
+    model = make_model(d_x=3, d_z=2, T=6, seed=32)
+    xs = np.random.default_rng(5).normal(size=(6, 3))
+    mu_zs, z_last = encode_states(model, xs, seed=8, mean_propagation=mean_propagation)
+    ref_mu, ref_z = _reference_encode(model, xs, 8, mean_propagation)
+    assert np.array_equal(mu_zs, ref_mu)
+    assert np.array_equal(z_last, ref_z)
+
+
+def test_alternate_skips_observation_mean_where_data_is_used(tiny_model):
+    xs = np.ones((1, 3, 2))
+    observed = np.zeros((1, 3, 2), dtype=bool)
+    observed[:, 0] = True                     # step 1 observed
+    observed[:, 1, 0] = True                  # step 2 partly observed
+    s1, s2, s3 = alternate(tiny_model, np.zeros((1, 2)), 3, data=xs, observed=observed)
+    assert s1.mu_x is None
+    assert np.array_equal(s1.x.data, xs[:, 0])
+    assert np.array_equal(s2.x.data, [[1.0, s2.mu_x.data[0, 1]]])
+    assert s3.x is s3.mu_x                    # no eps_x: the fill is the mean
+    full = alternate(tiny_model, np.zeros((1, 2)), 3, data=xs, observed=observed,
+                     want_means=True)
+    assert all(s.mu_x is not None for s in full)
 
 
 # --- trajectory generation ----------------------------------------------------
@@ -332,6 +406,26 @@ def test_checkpoint_header_dim_mismatch(tmp_path, tiny_model):
     path.write_bytes(fixed)
     with pytest.raises(CheckpointError):
         load_model(path)
+
+
+def test_checkpoint_with_inadmissible_sigma_is_checkpoint_error(tmp_path, tiny_model):
+    path = tmp_path / "model.alt"
+    save_model(tiny_model, path)
+    blob = path.read_bytes()
+    payload = bytearray(blob[8:-4])
+    # header: version, d_x, d_z, T (u32), dynamics (u8), then sigma_x (f64)
+    payload[17:25] = struct.pack("<d", 1.5)
+    path.write_bytes(blob[:8] + bytes(payload) + struct.pack("<I", zlib.crc32(bytes(payload))))
+    with pytest.raises(CheckpointError, match="sigma_x"):
+        load_model(path)
+
+
+def test_schedule_rejects_sigma_outside_unit_interval():
+    for sx, sz in ((1.5, 0.1), (0.3, 0.0), (0.3, float("nan"))):
+        with pytest.raises(ConfigError, match="must lie in"):
+            NoiseSchedule(beta=np.zeros(1), alpha=np.zeros(1), sigma_x=sx, sigma_z=sz)
+        with pytest.raises(ConfigError, match="must lie in"):
+            vanilla_schedule(2, sx, sz)
 
 
 def test_checkpoint_version_mismatch(tmp_path, tiny_model):

@@ -50,6 +50,20 @@ def test_load_csv_non_numeric_reports_row(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_csv_non_finite_reports_row(tmp_path, cell):
+    p = _write(tmp_path, f"series_id,t,v1\na,0,1.0\na,1,{cell}\n")
+    with pytest.raises(DataError, match="row 3"):
+        load_csv(p)
+
+
+def test_load_csv_duplicate_time_reports_row(tmp_path):
+    # every series repeats one t, so the lengths alone still agree
+    p = _write(tmp_path, "series_id,t,v1\na,0,1\na,0,2\nb,0,3\nb,1,4\n")
+    with pytest.raises(DataError, match="row 3"):
+        load_csv(p)
+
+
 def test_load_csv_empty_file(tmp_path):
     with pytest.raises(DataError):
         load_csv(_write(tmp_path, ""))

@@ -112,6 +112,46 @@ def test_impute_missing_value_is_step_mean(tiny_model):
     assert np.array_equal(out[0], xs[0])
 
 
+def _reference_impute(model, masked, observed, seed, n_samples, mean_propagation):
+    """The imputation recursion written out, one rollout and one step at a time."""
+    obs = observed if observed.ndim == 2 else np.broadcast_to(observed[:, None], masked.shape)
+    data = np.where(obs, masked, 0.0)
+    acc = np.zeros_like(data)
+    for k in range(n_samples):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        z = rng.standard_normal(model.d_z)
+        for t in range(1, len(masked) + 1):
+            x_in = np.where(obs[t - 1], data[t - 1], mean_x(model, z, t).data)
+            acc[t - 1] += x_in
+            z = mean_z(model, z, x_in, t).data
+            if not mean_propagation:
+                z = z + model.schedule.sigma_z * rng.standard_normal(model.d_z)
+    out = acc / n_samples
+    out[obs] = masked[obs]
+    return out
+
+
+@pytest.mark.parametrize("per_channel", [False, True])
+@pytest.mark.parametrize("mean_propagation", [False, True])
+def test_impute_single_sample_matches_reference_loop_bitwise(per_channel, mean_propagation):
+    model = make_model(d_x=3, d_z=2, T=8, seed=41)
+    masked, mask = apply_mar_mask(_series(T=8, d=3, seed=10), 0.5, seed=11,
+                                  per_channel=per_channel)
+    got = impute(model, masked, mask, seed=3, mean_propagation=mean_propagation)
+    want = _reference_impute(model, masked, mask.observed, 3, 1, mean_propagation)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("per_channel", [False, True])
+def test_impute_many_samples_matches_reference_loop(per_channel):
+    model = make_model(d_x=3, d_z=2, T=8, seed=42)
+    masked, mask = apply_mar_mask(_series(T=8, d=3, seed=12), 0.5, seed=13,
+                                  per_channel=per_channel)
+    got = impute(model, masked, mask, seed=4, n_samples=5)
+    want = _reference_impute(model, masked, mask.observed, 4, 5, False)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
 def test_impute_dimension_mismatch(tiny_model):
     with pytest.raises(ShapeError):
         impute(tiny_model, np.zeros((4, 3)), MARMask(np.ones(4, bool), 0.0, 0), seed=0)
@@ -161,6 +201,31 @@ def test_forecast_member_seed_permutation_permutes_members():
     assert np.array_equal(a.members[0], b.members[2])
     assert np.array_equal(a.members[1], b.members[1])
     assert np.allclose(a.mean, b.mean, atol=1e-15)
+
+
+def test_forecast_matches_reference_loop():
+    # each member rolled out alone, drawing observation then latent noise per step
+    model = make_model(d_x=2, d_z=3, T=10, seed=43)
+    ctx = _series(T=4, d=2, seed=4)
+    seeds = [5, 6, 7, 8]
+    ens = forecast_ensemble(model, ctx, horizon=5, member_seeds=seeds, seed=9)
+    encode_seed = int(np.random.SeedSequence(entropy=9, spawn_key=(0,)).generate_state(1)[0])
+    z = np.random.default_rng(encode_seed).standard_normal(model.d_z)
+    for t in range(1, 5):
+        z = mean_z(model, z, ctx[t - 1], t).data
+    s = model.schedule
+    for m, mseed in enumerate(seeds):
+        rng, zm = np.random.default_rng(mseed), z
+        for h in range(5):
+            t = 5 + h
+            x = mean_x(model, zm, t).data + s.sigma_x * rng.standard_normal(model.d_x)
+            zm = mean_z(model, zm, x, t).data + s.sigma_z * rng.standard_normal(model.d_z)
+            np.testing.assert_allclose(ens.members[m, h], x, rtol=1e-9, atol=1e-12)
+
+
+def test_forecast_rejects_empty_member_list():
+    with pytest.raises(ConfigError):
+        forecast_ensemble(make_model(T=10), _series(T=3, d=2), horizon=2, member_seeds=[])
 
 
 def test_forecast_respects_schedule_budget():

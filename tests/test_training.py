@@ -6,7 +6,7 @@ import pytest
 from conftest import make_model, zero_network
 
 from alternator.autodiff import Tape, Tensor, backward, finite_difference_check
-from alternator.core import NoiseSchedule, vanilla_schedule
+from alternator.core import AlternationStep, NoiseSchedule, vanilla_schedule
 from alternator.data import synth_bimodal
 from alternator.errors import ConfigError, NumericError, ShapeError
 from alternator.training import (
@@ -59,12 +59,12 @@ def _hand_rollout(model, zs, mu_zs, xs, mu_xs, eps_z=None, pred_x=None, pred_z=N
         eps_z=np.asarray(eps_z) if eps_z is not None else np.zeros((B, T, d_z)),
     )
     as_t = lambda arrs: [Tensor(np.asarray(a, dtype=np.float64)) for a in arrs]
-    return Rollout(
-        x_used=as_t(xs), zs=as_t(zs), mu_xs=as_t(mu_xs), mu_zs=as_t(mu_zs),
-        pred_x=as_t(pred_x) if pred_x is not None else [None] * T,
-        pred_z=as_t(pred_z) if pred_z is not None else [None] * T,
-        noise=noise,
+    rows = zip(
+        as_t(xs), as_t(zs), as_t(mu_xs), as_t(mu_zs),
+        as_t(pred_x) if pred_x is not None else [None] * T,
+        as_t(pred_z) if pred_z is not None else [None] * T,
     )
+    return Rollout(steps=[AlternationStep(*row) for row in rows], noise=noise)
 
 
 def test_alternator_loss_zero_residuals():
@@ -179,10 +179,10 @@ def test_teacher_forcing_feeds_data_free_running_feeds_samples():
     batch = _toy_batch(B=1, T=2)
     noise = draw_rollout_noise(np.random.default_rng(3), 1, 2, 1, 2, free_running=True)
     r_tf = rollout(model, batch, noise, free_running=False)
-    assert np.array_equal(r_tf.x_used[0].data, batch[:, 0])
+    assert np.array_equal(r_tf.steps[0].x.data, batch[:, 0])
     r_fr = rollout(model, batch, noise, free_running=True)
-    expected = r_fr.mu_xs[0].data + model.schedule.sigma_x * noise.eps_x[:, 0]
-    assert np.array_equal(r_fr.x_used[0].data, expected)
+    expected = r_fr.steps[0].mu_x.data + model.schedule.sigma_x * noise.eps_x[:, 0]
+    assert np.array_equal(r_fr.steps[0].x.data, expected)
 
 
 @pytest.mark.parametrize("mode,free_running", [
