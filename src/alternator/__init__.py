@@ -38,7 +38,6 @@ from .data import (
 )
 from .errors import CheckpointError, ConfigError, DataError, NumericError, ShapeError
 from .metrics import (
-    MetricReport,
     crps_ensemble,
     median_bandwidth,
     mmd_rbf,

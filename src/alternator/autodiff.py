@@ -39,6 +39,7 @@ __all__ = [
     "square",
     "total_sum",
     "concat",
+    "stack",
     "reshape",
     "take_rows",
     "mean_rows",
@@ -187,21 +188,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
+    a_shape, b_shape = a.data.shape, b.data.shape  # shapes only, so the inputs can be freed
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
-    return _emit("add", out, (a, b), vjp)
+    return _emit("add", a.data + b.data, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
-    return _emit("sub", out, (a, b), vjp)
+    return _emit("sub", a.data - b.data, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -218,20 +219,20 @@ def neg(a: Tensor) -> Tensor:
     return _emit("neg", -a.data, (a,), lambda g: (-g,))
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a constant scalar; ``c`` receives no gradient."""
+def scale(a: Tensor, c) -> Tensor:
+    """Multiply by a constant scalar or an array broadcastable to ``a``; ``c`` gets no gradient."""
     return _emit("scale", a.data * c, (a,), lambda g: (g * c,))
 
 
 def shift(a: Tensor, c) -> Tensor:
     """Add a constant array or scalar; ``c`` receives no gradient."""
     c = np.asarray(c, dtype=np.float64)
-    out = a.data + c
+    shape = a.data.shape
 
     def vjp(g):
-        return (_unbroadcast(g, a.data.shape),)
+        return (_unbroadcast(g, shape),)
 
-    return _emit("shift", out, (a,), vjp)
+    return _emit("shift", a.data + c, (a,), vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -324,6 +325,12 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _emit("concat", out, tuple(parts), vjp)
+
+
+def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Stack equal-shape tensors along a new ``axis``; the VJP returns the slices."""
+    out = np.stack([p.data for p in parts], axis=axis)
+    return _emit("stack", out, tuple(parts), lambda g: tuple(np.moveaxis(g, axis, 0)))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

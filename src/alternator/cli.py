@@ -162,8 +162,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
 def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
     """Reject keys missing from DEFAULTS and leaves unlike their default.
 
-    None means unset. bool stays bool, an int field takes only int, a float
-    field also takes int, and a field whose default is None is not checked.
+    None means unset: a null leaf takes its DEFAULTS value. bool stays bool,
+    an int field takes only int, a float field also takes int, list elements
+    follow the default's elements, seeds are non-negative, and a field whose
+    default is None is not checked.
     """
     for key, value in cfg.items():
         name = prefix + key
@@ -172,12 +174,24 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
         default = defaults[key]
         if isinstance(default, dict) and isinstance(value, dict):
             _check_types(value, default, name + ".")
-        elif default is None or (value is None and not isinstance(default, dict)):
+        elif default is None:
             continue
-        elif (isinstance(value, bool) != isinstance(default, bool) or not isinstance(
-                value, (int, float) if type(default) is float else type(default))):
-            raise ConfigError(
-                f"config key {name!r} must be {type(default).__name__}, got {value!r}")
+        elif value is None and not isinstance(default, dict):
+            cfg[key] = copy.deepcopy(default)
+        elif not _like(value, default):
+            kind = type(default).__name__
+            if isinstance(default, list):
+                kind += f" of {type(default[0]).__name__}"
+            raise ConfigError(f"config key {name!r} must be {kind}, got {value!r}")
+        elif (key == "seed" or key.endswith("_seed")) and value < 0:
+            raise ConfigError(f"config key {name!r} must be a non-negative seed, got {value}")
+
+
+def _like(value, default) -> bool:
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_like(v, default[0]) for v in value)
+    return isinstance(value, bool) == isinstance(default, bool) and isinstance(
+        value, (int, float) if type(default) is float else type(default))
 
 
 def resolve_dataset(cfg: dict) -> data.SeriesDataset:
@@ -279,8 +293,10 @@ def _load_checkpoint(args: argparse.Namespace) -> core.AlternatorModel:
 
 
 def run_generate(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
-    _write_config(cfg, out_dir)
     g = cfg["generate"]
+    if g["n_samples"] < 1:
+        raise ConfigError(f"config key 'generate.n_samples' must be >= 1, got {g['n_samples']}")
+    _write_config(cfg, out_dir)
     T = g["horizon"] or model.schedule.T
     batch = core.generate_batch(model, g["n_samples"], T, cfg["seed"])
     data.save_csv(data.SeriesDataset(batch.xs, name="samples"), out_dir / "samples.csv")
@@ -302,9 +318,11 @@ def run_encode(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
 
 
 def run_impute(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
+    icfg = cfg["impute"]
+    if not icfg["rates"]:
+        raise ConfigError("config key 'impute.rates' must list at least one rate")
     ds = resolve_dataset(cfg)
     _write_config(cfg, out_dir)
-    icfg = cfg["impute"]
     writer = MetricWriter(out_dir / "impute_metrics.jsonl", "impute", cfg["seed"])
     completed_all = []
     completed_ids = []
@@ -353,7 +371,7 @@ def run_forecast(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
     H = fcfg["horizon"]
     T = ds.n_steps
     T_c = fcfg["context_length"] or T - H
-    if H >= T or T_c < 1 or T_c + H > T:
+    if H < 1 or H >= T or T_c < 1 or T_c + H > T:
         raise ConfigError(
             f"horizon {H} incompatible with series length {T} (context {T_c})"
         )
@@ -399,17 +417,21 @@ def run_forecast(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
 
 def run_eval_density(cfg: dict, out_dir: Path, model: core.AlternatorModel,
                      baseline: "core.AlternatorModel | None") -> int:
+    ecfg = cfg["eval_density"]
+    mmd_fns = {"sequence": metrics.sequence_mmd, "marginal": metrics.marginal_mmd}
+    if ecfg["variant"] not in mmd_fns:
+        raise ConfigError(f"config key 'eval_density.variant' must be one of "
+                          f"{sorted(mmd_fns)}, got {ecfg['variant']!r}")
+    mmd_fn = mmd_fns[ecfg["variant"]]
+    if ecfg["n_samples"] < 1:
+        raise ConfigError(f"config key 'eval_density.n_samples' must be >= 1, "
+                          f"got {ecfg['n_samples']}")
     ds = resolve_dataset(cfg)
     _write_config(cfg, out_dir)
-    ecfg = cfg["eval_density"]
     n = ecfg["n_samples"]
     T = ds.n_steps
     samples = core.generate_batch(model, n, T, _spawn_seed(cfg["seed"], 0)).xs
     writer = MetricWriter(out_dir / "density_metrics.jsonl", "eval-density", cfg["seed"])
-    if ecfg["variant"] == "marginal":
-        mmd_fn = metrics.marginal_mmd
-    else:
-        mmd_fn = metrics.sequence_mmd
     value = mmd_fn(samples, ds.data)
     writer.add("mmd", value, n=n)
     if baseline is not None:

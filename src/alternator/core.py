@@ -82,18 +82,16 @@ class NoiseSchedule:
     def coef_x(self, t: int) -> tuple[float, float]:
         """(sqrt(beta_t), sqrt(1 - beta_t - sigma_x^2)) for 1-based t."""
         b = float(self.beta[t - 1])
-        c2 = self.beta_limit - b
-        if b < 0.0 or c2 < 0.0:
+        if not 0.0 <= b <= self.beta_limit:
             raise ConfigError(f"schedule violates beta bounds at t={t}: beta={b}")
-        return np.sqrt(b), np.sqrt(c2)
+        return np.sqrt(b), np.sqrt(self.beta_limit - b)
 
     def coef_z(self, t: int) -> tuple[float, float]:
         """(sqrt(alpha_t), sqrt(1 - alpha_t - sigma_z^2)) for 1-based t."""
         a = float(self.alpha[t - 1])
-        c2 = self.alpha_limit - a
-        if a < 0.0 or c2 < 0.0:
+        if not 0.0 <= a <= self.alpha_limit:
             raise ConfigError(f"schedule violates alpha bounds at t={t}: alpha={a}")
-        return np.sqrt(a), np.sqrt(c2)
+        return np.sqrt(a), np.sqrt(self.alpha_limit - a)
 
 
 def _check_sigmas(sigma_x: float, sigma_z: float) -> None:
@@ -135,6 +133,9 @@ def default_schedule(
     alternation.
     """
     _check_sigmas(sigma_x, sigma_z)  # before the spans, which assume both limits positive
+    for name, span in (("beta_span", beta_span), ("alpha_span", alpha_span)):
+        if len(span) != 2:
+            raise ConfigError(f"{name} must be two numbers [lo, hi], got {list(span)}")
     bmax = 1.0 - sigma_x**2
     amax = 1.0 - sigma_z**2
     beta = linear_schedule(T, beta_span[0] * bmax, beta_span[1] * bmax)
@@ -162,9 +163,9 @@ def validate_schedule(s: NoiseSchedule) -> ScheduleReport:
     for t in range(1, s.T + 1):
         b = s.beta[t - 1]
         a = s.alpha[t - 1]
-        if b < 0.0 or s.beta_limit - b < 0.0:
+        if not 0.0 <= b <= s.beta_limit:
             violations.append((t, "beta"))
-        if a < 0.0 or s.alpha_limit - a < 0.0:
+        if not 0.0 <= a <= s.alpha_limit:
             violations.append((t, "alpha"))
     return ScheduleReport(ok=not violations, violations=violations)
 
@@ -558,6 +559,8 @@ def _unpack_network(r: _Reader) -> Network:
         shape = tuple(r.unpack("<I")[0] for _ in range(ndim))
         count = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(r.take(8 * count), dtype=np.float64).reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"checkpoint parameter {name} has non-finite values")
         params.add(name, arr)
     reference = init_parameters(spec, 0)
     if params.names() != reference.names():
@@ -590,6 +593,10 @@ def load_model(path) -> AlternatorModel:
         raise CheckpointError("checkpoint has trailing bytes")
     try:
         schedule = NoiseSchedule(beta=beta, alpha=alpha, sigma_x=sigma_x, sigma_z=sigma_z)
+        violations = validate_schedule(schedule).violations
+        if violations:
+            t, name = violations[0]
+            raise CheckpointError(f"checkpoint schedule out of bounds: {name} at t={t}")
         return AlternatorModel(
             d_x=d_x, d_z=d_z, schedule=schedule, dynamics=_DYN_NAME[dyn_code], **nets
         )

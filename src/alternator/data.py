@@ -117,15 +117,7 @@ def normalize_minmax(ds: SeriesDataset) -> SeriesDataset:
     invertible. NaN entries (mask sentinels) are ignored when computing the
     range and stay NaN.
     """
-    if ds.norm is not None:
-        raise ConfigError("dataset is already normalized")
-    lo = np.nanmin(ds.data, axis=(0, 1))
-    hi = np.nanmax(ds.data, axis=(0, 1))
-    span = hi - lo
-    safe = np.where(span > 0, span, 1.0)
-    scaled = (ds.data - lo) / safe
-    scaled = np.where(span > 0, scaled, 0.0)
-    return replace(ds, data=scaled, norm=(lo, hi))
+    return apply_norm(ds, (np.nanmin(ds.data, axis=(0, 1)), np.nanmax(ds.data, axis=(0, 1))))
 
 
 def apply_norm(ds: SeriesDataset, norm: tuple[np.ndarray, np.ndarray]) -> SeriesDataset:

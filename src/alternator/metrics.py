@@ -9,20 +9,6 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 
-@dataclass
-class MetricReport:
-    """One named metric value with optional spread information."""
-
-    name: str
-    value: float
-    std_error: "float | None" = None
-    n: int = 1
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "value": self.value,
-                "std_error": self.std_error, "n": self.n}
-
-
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diff = a[:, None, :] - b[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)

@@ -150,21 +150,18 @@ def self_attention_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Ten
     for name, w in (("wq", wq), ("wk", wk), ("wv", wv)):
         if w.data.shape != (d, d):
             raise ShapeError(f"{name} must be square of size {d}, got {w.shape}")
-    q = ad.matmul(x, wq)
-    k = ad.matmul(x, wk)
-    v = ad.matmul(x, wv)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d))
-    attn = ad.softmax(scores, axis=-1)
-    return ad.add(ad.matmul(attn, v), x)
+    attn = _attention_weights(x, wq, wk)
+    return ad.add(ad.matmul(attn, ad.matmul(x, wv)), x)
+
+
+def _attention_weights(x: Tensor, wq: Tensor, wk: Tensor) -> Tensor:
+    scores = ad.matmul(ad.matmul(x, wq), ad.transpose(ad.matmul(x, wk)))
+    return ad.softmax(ad.scale(scores, 1.0 / np.sqrt(x.data.shape[1])), axis=-1)
 
 
 def attention_matrix(x: Tensor, wq: Tensor, wk: Tensor) -> np.ndarray:
     """Row-stochastic attention weights for inspection/testing."""
-    q = ad.matmul(x, wq)
-    k = ad.matmul(x, wk)
-    d = x.data.shape[1]
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d))
-    return ad.softmax(scores, axis=-1).data
+    return _attention_weights(x, wq, wk).data
 
 
 def _mlp_forward(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Tensor:

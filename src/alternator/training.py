@@ -8,7 +8,9 @@ noise-matching loss,
                                        + gamma_t ||eps_x - pred_x||^2 ]
 
 with w = (d_z sigma_z^2)/(d_x sigma_x^2) and
-gamma_t = (d_z sigma_z^2 alpha_t)/(d_x sigma_x^2 beta_t).
+gamma_t = (d_z sigma_z^2 alpha_t)/(d_x sigma_x^2 beta_t), or 0 where beta_t = 0.
+:func:`rollout` stacks each step field into one (B, T, .) tensor; each of the
+four terms is then one square-sum, with gamma_t as a per-step weight vector.
 
 Latents are rolled out per batch (z_0 standard normal, z_t sampled from the
 model); observations feed the rollout from the training data by default
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .core import AlternationStep, AlternatorModel, alternate
+from .core import AlternatorModel, alternate
 from .data import SeriesDataset
 from .errors import ConfigError, NumericError, ShapeError
 
@@ -89,15 +91,13 @@ class EpochStats:
     loss: LossBreakdown
 
 
-def gamma_weight(
-    d_x: int, d_z: int, sigma_x: float, sigma_z: float, alpha_t: float, beta_t: float
-) -> float:
-    """Balance factor between the two noise-matching terms."""
+def gamma_weight(d_x: int, d_z: int, sigma_x: float, sigma_z: float, alpha_t, beta_t):
+    """Balance factor between the two noise-matching terms; alpha_t, beta_t may be arrays."""
     if d_x < 1 or d_z < 1:
         raise ConfigError("dimensions must be >= 1")
     if sigma_x <= 0.0:
         raise ConfigError("sigma_x must be positive")
-    if beta_t == 0.0:
+    if np.any(np.asarray(beta_t) == 0.0):
         raise NumericError("gamma weight undefined at beta_t = 0")
     return (d_z * sigma_z**2 * alpha_t) / (d_x * sigma_x**2 * beta_t)
 
@@ -136,10 +136,15 @@ def draw_rollout_noise(
 
 @dataclass
 class Rollout:
-    """Graph-connected steps of one training rollout, plus the noise it drew."""
+    """One training rollout: the noise it drew and its steps stacked into (B, T, .) tensors."""
 
-    steps: list[AlternationStep]
     noise: RolloutNoise
+    x: Tensor
+    z: Tensor
+    mu_x: Tensor
+    mu_z: Tensor
+    pred_x: "Tensor | None" = None       # noise predictions, None unless requested
+    pred_z: "Tensor | None" = None
 
 
 def rollout(
@@ -149,7 +154,7 @@ def rollout(
     free_running: bool = False,
     want_noise_preds: bool = True,
 ) -> Rollout:
-    """Run the alternation over a (B, T, d_x) batch.
+    """Run the alternation over a (B, T, d_x) batch and stack each field over time.
 
     Teacher forcing (default) feeds each data observation into the latent
     update; mu_x is still computed for the loss. ``free_running`` instead
@@ -161,13 +166,11 @@ def rollout(
         raise ShapeError(f"batch channel dim {d_x} != model d_x {model.d_x}")
     if T > model.schedule.T:
         raise ConfigError(f"sequence length {T} exceeds schedule length {model.schedule.T}")
-    steps = alternate(model, noise.z0, T, data=None if free_running else batch, eps_x=noise.eps_x,
-                      eps_z=noise.eps_z, want_means=True, want_noise_preds=want_noise_preds)
-    return Rollout(list(steps), noise)
-
-
-def _batch_size(r: Rollout) -> int:
-    return r.steps[0].z.data.shape[0]
+    steps = list(alternate(model, noise.z0, T, data=None if free_running else batch,
+                           eps_x=noise.eps_x, eps_z=noise.eps_z, want_means=True,
+                           want_noise_preds=want_noise_preds))
+    fields = ("x", "z", "mu_x", "mu_z") + (("pred_x", "pred_z") if want_noise_preds else ())
+    return Rollout(noise, *(ad.stack([getattr(step, f) for step in steps], axis=1) for f in fields))
 
 
 def alternator_loss(model: AlternatorModel, r: Rollout) -> tuple[Tensor, Tensor]:
@@ -176,14 +179,9 @@ def alternator_loss(model: AlternatorModel, r: Rollout) -> tuple[Tensor, Tensor]
     if s.sigma_x <= 0.0:
         raise ConfigError("sigma_x must be positive for the observation weight")
     w = (model.d_z * s.sigma_z**2) / (model.d_x * s.sigma_x**2)
-    B = _batch_size(r)
-    z_sum = None
-    x_sum = None
-    for step in r.steps:
-        zt = ad.total_sum(ad.square(ad.sub(step.z, step.mu_z)))
-        xt = ad.total_sum(ad.square(ad.sub(step.x, step.mu_x)))
-        z_sum = zt if z_sum is None else ad.add(z_sum, zt)
-        x_sum = xt if x_sum is None else ad.add(x_sum, xt)
+    B = r.z.shape[0]
+    z_sum = ad.total_sum(ad.square(ad.sub(r.z, r.mu_z)))
+    x_sum = ad.total_sum(ad.square(ad.sub(r.x, r.mu_x)))
     return ad.scale(z_sum, 1.0 / B), ad.scale(x_sum, w / B)
 
 
@@ -199,31 +197,21 @@ def noise_matching_loss(
     """
     if mode not in (TRAJECTORY, LITERAL):
         raise ConfigError(f"unknown noise-matching mode: {mode!r}")
-    if any(step.pred_z is None for step in r.steps):
+    if r.pred_z is None:
         raise ConfigError("rollout was built without noise predictions")
     s = model.schedule
-    B = _batch_size(r)
-    z_sum = None
-    x_sum = None
-    for i, step in enumerate(r.steps):
-        if mode == TRAJECTORY:
-            target_z = Tensor(r.noise.eps_z[:, i])
-            target_x = ad.scale(ad.sub(step.x, step.mu_x), 1.0 / s.sigma_x)
-        else:
-            target_z = Tensor(r.noise.literal_z[:, i])
-            target_x = Tensor(r.noise.literal_x[:, i])
-        zt = ad.total_sum(ad.square(ad.sub(target_z, step.pred_z)))
-        z_sum = zt if z_sum is None else ad.add(z_sum, zt)
-        beta_t = float(s.beta[i])
-        if beta_t == 0.0:
-            continue
-        g = gamma_weight(model.d_x, model.d_z, s.sigma_x, s.sigma_z, float(s.alpha[i]), beta_t)
-        if g == 0.0:
-            continue
-        xt = ad.scale(ad.total_sum(ad.square(ad.sub(target_x, step.pred_x))), g)
-        x_sum = xt if x_sum is None else ad.add(x_sum, xt)
-    if x_sum is None:
-        x_sum = Tensor(0.0)
+    B, T, _ = r.z.shape
+    if mode == TRAJECTORY:
+        target_z = Tensor(r.noise.eps_z)
+        target_x = ad.scale(ad.sub(r.x, r.mu_x), 1.0 / s.sigma_x)
+    else:
+        target_z = Tensor(r.noise.literal_z)
+        target_x = Tensor(r.noise.literal_x)
+    on = np.flatnonzero(s.beta[:T])
+    gamma = np.zeros(T)
+    gamma[on] = gamma_weight(model.d_x, model.d_z, s.sigma_x, s.sigma_z, s.alpha[on], s.beta[on])
+    z_sum = ad.total_sum(ad.square(ad.sub(target_z, r.pred_z)))
+    x_sum = ad.total_sum(ad.scale(ad.square(ad.sub(target_x, r.pred_x)), gamma[:, None]))
     return ad.scale(z_sum, 1.0 / B), ad.scale(x_sum, 1.0 / B)
 
 

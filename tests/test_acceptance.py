@@ -46,6 +46,8 @@ from alternator.training import (
     train,
 )
 
+pytestmark = pytest.mark.slow
+
 MINUTE = 60.0
 TEN_MINUTES = 600.0
 

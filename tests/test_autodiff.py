@@ -97,6 +97,7 @@ def test_all_ops_match_finite_differences_on_random_inputs():
     a = Tensor(rng.uniform(-1, 1, size=(4, 3)))
     b = Tensor(rng.uniform(-1, 1, size=(3, 4)))
     c = Tensor(rng.uniform(-1, 1, size=(4,)))
+    weights = rng.uniform(0.5, 2.0, size=(2, 1))
 
     def build():
         h = ad.matmul(a, b)                     # (4, 4)
@@ -107,6 +108,8 @@ def test_all_ops_match_finite_differences_on_random_inputs():
         h = ad.concat([h, ad.square(h)], axis=1)
         h = ad.take_rows(h, 1, 3)
         h = ad.reshape(h, (2, 8))
+        h = ad.stack([h, ad.tanh(h)], axis=1)   # (2, 2, 8)
+        h = ad.scale(h, weights)                # array constant, broadcast over the last axis
         return ad.total_sum(ad.mul(h, h))
 
     err = finite_difference_check(build, [a, b, c], h=1e-5)

@@ -3,10 +3,15 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alternator
 from alternator import cli
 from alternator.core import load_model
 from alternator.data import load_csv
@@ -269,3 +274,44 @@ def test_numeric_abort_exit_code(tiny_cfg, tmp_path):
     code = run_cli("train", "--config", tiny_cfg, "--out", tmp_path / "boom",
                    "--set", "train.lr_max=1e200", "--set", "train.epochs=3")
     assert code == cli.EXIT_NUMERIC
+
+
+_TINY_TRAIN = ["--set", "dataset.kind=bimodal", "--set", "dataset.n=4", "--set", "dataset.t=3",
+               "--set", "train.epochs=1", "--set", "model.d_z=2", "--set", "model.hidden_dim=4"]
+
+
+@pytest.mark.parametrize("task, extra, code, named", [
+    ("train", ["--set", "train.epochs=null"], cli.EXIT_OK, None),
+    ("train", ["--set", "model.d_z=null"], cli.EXIT_OK, None),
+    ("train", ["--set", "dataset.n=null"], cli.EXIT_OK, None),
+    ("train", ["--set", "model.beta_span=[0.1]"], cli.EXIT_CONFIG, "beta_span"),
+    ("train", ["--set", 'model.alpha_span=[0.1, "a"]'], cli.EXIT_CONFIG, "'model.alpha_span'"),
+    ("train", ["--seed", "-1"], cli.EXIT_CONFIG, "'seed'"),
+    ("train", ["--set", "dataset.seed=-3"], cli.EXIT_CONFIG, "'dataset.seed'"),
+    ("impute", ["--set", "impute.mask_seed=-1"], cli.EXIT_CONFIG, "'impute.mask_seed'"),
+    ("impute", ["--set", "impute.rates=[]"], cli.EXIT_CONFIG, "'impute.rates'"),
+    ("generate", ["--set", "generate.n_samples=-1"], cli.EXIT_CONFIG, "'generate.n_samples'"),
+    ("forecast", ["--set", "forecast.horizon=-1"], cli.EXIT_CONFIG, "horizon -1"),
+    ("eval-density", ["--set", "eval_density.variant=foo"], cli.EXIT_CONFIG,
+     "'eval_density.variant'"),
+    ("eval-density", ["--set", "eval_density.n_samples=0"], cli.EXIT_CONFIG,
+     "'eval_density.n_samples'"),
+])
+def test_config_values_never_end_in_traceback(tiny_cfg, trained_run, tmp_path, task, extra,
+                                              code, named):
+    # null resolves to the DEFAULTS value (1000 epochs, d_z 32, 500 series).
+    if task == "train":
+        argv = ["train", *_TINY_TRAIN]
+    else:
+        argv = [task, "--config", tiny_cfg, "--checkpoint", trained_run / "checkpoint.alt"]
+    src = str(Path(alternator.__file__).parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "alternator.cli", *map(str, argv + extra), "--out", tmp_path / "o"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    if named is not None:
+        assert named in proc.stderr

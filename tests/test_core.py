@@ -66,6 +66,16 @@ def test_validate_schedule_negative_alpha():
     assert (1, "alpha") in report.violations
 
 
+def test_validate_schedule_reports_nan_coefficients():
+    s = NoiseSchedule(beta=np.array([0.1, np.nan]), alpha=np.array([np.nan, 0.1]),
+                      sigma_x=0.3, sigma_z=0.1)
+    assert validate_schedule(s).violations == [(1, "alpha"), (2, "beta")]
+    with pytest.raises(ConfigError, match="beta"):
+        s.coef_x(2)
+    with pytest.raises(ConfigError, match="alpha"):
+        s.coef_z(1)
+
+
 def test_vanilla_schedule_values_and_zero_coefficient():
     s = vanilla_schedule(3, sigma_x=0.3, sigma_z=0.15)
     assert np.allclose(s.beta, 0.91, atol=1e-12)
@@ -417,6 +427,23 @@ def test_checkpoint_with_inadmissible_sigma_is_checkpoint_error(tmp_path, tiny_m
     payload[17:25] = struct.pack("<d", 1.5)
     path.write_bytes(blob[:8] + bytes(payload) + struct.pack("<I", zlib.crc32(bytes(payload))))
     with pytest.raises(CheckpointError, match="sigma_x"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_with_non_finite_weight_is_checkpoint_error(tmp_path, tiny_model, value):
+    path = tmp_path / "model.alt"
+    tiny_model.lat_net.params["out.weight"].data[0, 0] = value
+    save_model(tiny_model, path)
+    with pytest.raises(CheckpointError, match="out.weight"):
+        load_model(path)
+
+
+def test_checkpoint_with_beta_over_bound_is_checkpoint_error(tmp_path, tiny_model):
+    path = tmp_path / "model.alt"
+    tiny_model.schedule.beta[1] = tiny_model.schedule.beta_limit + 1e-9
+    save_model(tiny_model, path)
+    with pytest.raises(CheckpointError, match="schedule out of bounds"):
         load_model(path)
 
 

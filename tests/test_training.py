@@ -6,7 +6,7 @@ import pytest
 from conftest import make_model, zero_network
 
 from alternator.autodiff import Tape, Tensor, backward, finite_difference_check
-from alternator.core import AlternationStep, NoiseSchedule, vanilla_schedule
+from alternator.core import NoiseSchedule, alternate, default_schedule, vanilla_schedule
 from alternator.data import synth_bimodal
 from alternator.errors import ConfigError, NumericError, ShapeError
 from alternator.training import (
@@ -52,19 +52,19 @@ def test_gamma_guards():
 # --- loss terms on hand-built rollouts ------------------------------------
 
 def _hand_rollout(model, zs, mu_zs, xs, mu_xs, eps_z=None, pred_x=None, pred_z=None):
+    """A Rollout from per-step (B, d) values, stacked into (B, T, d) tensors."""
     B, d_z = np.asarray(zs[0]).shape
     T = len(zs)
     noise = RolloutNoise(
         z0=np.zeros((B, d_z)),
         eps_z=np.asarray(eps_z) if eps_z is not None else np.zeros((B, T, d_z)),
     )
-    as_t = lambda arrs: [Tensor(np.asarray(a, dtype=np.float64)) for a in arrs]
-    rows = zip(
-        as_t(xs), as_t(zs), as_t(mu_xs), as_t(mu_zs),
-        as_t(pred_x) if pred_x is not None else [None] * T,
-        as_t(pred_z) if pred_z is not None else [None] * T,
-    )
-    return Rollout(steps=[AlternationStep(*row) for row in rows], noise=noise)
+
+    def stacked(steps):
+        return None if steps is None else Tensor(np.stack(steps, axis=1).astype(np.float64))
+
+    return Rollout(noise, stacked(xs), stacked(zs), stacked(mu_xs), stacked(mu_zs),
+                   stacked(pred_x), stacked(pred_z))
 
 
 def test_alternator_loss_zero_residuals():
@@ -163,6 +163,54 @@ def test_total_loss_additivity_random_batches():
         assert min(b.alt_z, b.alt_x, b.nm_z, b.nm_x) >= 0.0
 
 
+def _per_step_breakdown(model, batch, noise, cfg):
+    """Reference objective: the loss terms summed step by step over the kernel's steps."""
+    s = model.schedule
+    B, T, _ = batch.shape
+    w = (model.d_z * s.sigma_z**2) / (model.d_x * s.sigma_x**2)
+    steps = alternate(model, noise.z0, T, data=None if cfg.free_running else batch,
+                      eps_x=noise.eps_x, eps_z=noise.eps_z, want_means=True,
+                      want_noise_preds=True)
+    alt_z = alt_x = nm_z = nm_x = 0.0
+    for i, step in enumerate(steps):
+        residual_x = step.x.data - step.mu_x.data
+        alt_z += np.sum((step.z.data - step.mu_z.data) ** 2)
+        alt_x += np.sum(residual_x**2)
+        if cfg.noise_target_mode == TRAJECTORY:
+            target_z, target_x = noise.eps_z[:, i], residual_x / s.sigma_x
+        else:
+            target_z, target_x = noise.literal_z[:, i], noise.literal_x[:, i]
+        nm_z += np.sum((target_z - step.pred_z.data) ** 2)
+        if s.beta[i] != 0.0:
+            g = gamma_weight(model.d_x, model.d_z, s.sigma_x, s.sigma_z, s.alpha[i], s.beta[i])
+            nm_x += g * np.sum((target_x - step.pred_x.data) ** 2)
+    lam = cfg.noise_weight
+    if lam == 0.0:
+        nm_z = nm_x = 0.0
+    alt_z, alt_x, nm_z, nm_x = alt_z / B, w * alt_x / B, nm_z / B, nm_x / B
+    return [alt_z + alt_x + lam * (nm_z + nm_x), alt_z, alt_x, nm_z, nm_x]
+
+
+@pytest.mark.parametrize("mode,free_running,lam,beta_lo", [
+    (mode, free_running, lam, 0.1)
+    for mode in (TRAJECTORY, LITERAL) for free_running in (False, True) for lam in (0.0, 0.7)
+] + [(TRAJECTORY, False, 0.7, 0.0)])
+def test_total_loss_matches_per_step_reference(mode, free_running, lam, beta_lo):
+    # beta_lo = 0 puts beta_1 = 0, where the gamma-weighted term is skipped.
+    model = make_model(d_x=2, d_z=3, T=5, seed=21,
+                       schedule=default_schedule(5, 0.3, 0.15, beta_span=(beta_lo, 1.0)))
+    rng = np.random.default_rng(22)
+    batch = rng.normal(size=(4, 5, 2))
+    noise = draw_rollout_noise(rng, 4, 5, 2, 3, mode=mode, free_running=free_running)
+    cfg = TrainConfig(epochs=1, batch_size=4, noise_weight=lam, noise_target_mode=mode,
+                      free_running=free_running)
+    _, b = total_loss(model, batch, cfg, noise)
+    got = [b.total, b.alt_z, b.alt_x, b.nm_z, b.nm_x]
+    want = _per_step_breakdown(model, batch, noise, cfg)
+    assert (model.schedule.beta[0] == 0.0) == (beta_lo == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def test_zero_networks_zero_data_vanilla_schedule_kills_observation_term():
     model = make_model(d_x=1, d_z=2, T=3, schedule="vanilla", seed=20)
     for net in model.networks().values():
@@ -179,10 +227,10 @@ def test_teacher_forcing_feeds_data_free_running_feeds_samples():
     batch = _toy_batch(B=1, T=2)
     noise = draw_rollout_noise(np.random.default_rng(3), 1, 2, 1, 2, free_running=True)
     r_tf = rollout(model, batch, noise, free_running=False)
-    assert np.array_equal(r_tf.steps[0].x.data, batch[:, 0])
+    assert np.array_equal(r_tf.x.data, batch)
     r_fr = rollout(model, batch, noise, free_running=True)
-    expected = r_fr.steps[0].mu_x.data + model.schedule.sigma_x * noise.eps_x[:, 0]
-    assert np.array_equal(r_fr.steps[0].x.data, expected)
+    expected = r_fr.mu_x.data + model.schedule.sigma_x * noise.eps_x
+    assert np.array_equal(r_fr.x.data, expected)
 
 
 @pytest.mark.parametrize("mode,free_running", [
