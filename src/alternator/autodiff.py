@@ -41,7 +41,6 @@ __all__ = [
     "concat",
     "stack",
     "reshape",
-    "take_rows",
     "mean_rows",
 ]
 
@@ -178,6 +177,8 @@ def _emit(op: str, out_data: np.ndarray, inputs: Sequence[Tensor], vjp) -> Tenso
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` to undo numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -236,23 +237,27 @@ def shift(a: Tensor, c) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    """Batched ``(..., n, k) @ (..., k, m)``; leading axes broadcast as in numpy."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul expects operands of at least 2-D, got {a.shape} @ {b.shape}")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     out = a.data @ b.data
     a_data, b_data = a.data, b.data
 
     def vjp(g):
-        return g @ b_data.T, a_data.T @ g
+        return (_unbroadcast(g @ b_data.swapaxes(-1, -2), a_data.shape),
+                _unbroadcast(a_data.swapaxes(-1, -2) @ g, b_data.shape))
 
     return _emit("matmul", out, (a, b), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D operand, got {a.shape}")
-    return _emit("transpose", a.data.T.copy(), (a,), lambda g: (g.T,))
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose expects an operand of at least 2-D, got {a.shape}")
+    return _emit("transpose", a.data.swapaxes(-1, -2).copy(), (a,),
+                 lambda g: (g.swapaxes(-1, -2),))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -342,30 +347,16 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _emit("reshape", a.data.reshape(shape), (a,), vjp)
 
 
-def take_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous row slice ``a[start:stop]`` of a 2-D tensor."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"take_rows expects a 2-D operand, got {a.shape}")
-    full_shape = a.data.shape
-
-    def vjp(g):
-        out = np.zeros(full_shape)
-        out[start:stop] = g
-        return (out,)
-
-    return _emit("take_rows", a.data[start:stop].copy(), (a,), vjp)
-
-
 def mean_rows(a: Tensor) -> Tensor:
-    """Mean over axis 0 of a 2-D tensor."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"mean_rows expects a 2-D operand, got {a.shape}")
-    n, _ = a.data.shape
+    """Mean over axis -2: (..., n, d) -> (..., d)."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"mean_rows expects an operand of at least 2-D, got {a.shape}")
+    shape = a.data.shape
 
     def vjp(g):
-        return (np.broadcast_to(g / n, a.data.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g / shape[-2], -2), shape).copy(),)
 
-    return _emit("mean_rows", a.data.mean(axis=0), (a,), vjp)
+    return _emit("mean_rows", a.data.mean(axis=-2), (a,), vjp)
 
 
 class Gradients:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -163,9 +164,9 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
     """Reject keys missing from DEFAULTS and leaves unlike their default.
 
     None means unset: a null leaf takes its DEFAULTS value. bool stays bool,
-    an int field takes only int, a float field also takes int, list elements
-    follow the default's elements, seeds are non-negative, and a field whose
-    default is None is not checked.
+    an int field takes only int, a float field also takes int but not NaN or
+    infinity, list elements follow the default's elements, seeds are
+    non-negative, and a field whose default is None is not checked.
     """
     for key, value in cfg.items():
         name = prefix + key
@@ -179,9 +180,10 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
         elif value is None and not isinstance(default, dict):
             cfg[key] = copy.deepcopy(default)
         elif not _like(value, default):
-            kind = type(default).__name__
+            elem = default[0] if isinstance(default, list) else default
+            kind = "finite float" if type(elem) is float else type(elem).__name__
             if isinstance(default, list):
-                kind += f" of {type(default[0]).__name__}"
+                kind = f"list of {kind}"
             raise ConfigError(f"config key {name!r} must be {kind}, got {value!r}")
         elif (key == "seed" or key.endswith("_seed")) and value < 0:
             raise ConfigError(f"config key {name!r} must be a non-negative seed, got {value}")
@@ -190,8 +192,11 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
 def _like(value, default) -> bool:
     if isinstance(default, list):
         return isinstance(value, list) and all(_like(v, default[0]) for v in value)
-    return isinstance(value, bool) == isinstance(default, bool) and isinstance(
-        value, (int, float) if type(default) is float else type(default))
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    if type(default) is float:  # JSON's NaN and Infinity are floats too
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, type(default))
 
 
 def resolve_dataset(cfg: dict) -> data.SeriesDataset:
@@ -256,14 +261,16 @@ class MetricWriter:
         rec.update(extra)
         self.records.append(rec)
 
+    def add_mean(self, metric: str, values, **extra) -> None:
+        """Record the mean of ``values`` and its standard error (None for one value)."""
+        arr = np.asarray(values)
+        se = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else None
+        self.add(metric, float(arr.mean()), std_error=se, n=len(arr), **extra)
+
     def flush(self) -> None:
         with open(self.path, "w", encoding="utf-8") as fh:
             for rec in self.records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def _spawn_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(1)[0])
 
 
 def run_train(cfg: dict, out_dir: Path) -> int:
@@ -296,8 +303,11 @@ def run_generate(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
     g = cfg["generate"]
     if g["n_samples"] < 1:
         raise ConfigError(f"config key 'generate.n_samples' must be >= 1, got {g['n_samples']}")
-    _write_config(cfg, out_dir)
     T = g["horizon"] or model.schedule.T
+    if T > model.schedule.T:  # before generate_batch draws noise for every step
+        raise ConfigError(f"config key 'generate.horizon' must not exceed the checkpoint's "
+                          f"schedule length {model.schedule.T}, got {T}")
+    _write_config(cfg, out_dir)
     batch = core.generate_batch(model, g["n_samples"], T, cfg["seed"])
     data.save_csv(data.SeriesDataset(batch.xs, name="samples"), out_dir / "samples.csv")
     print(f"generated {g['n_samples']} sequences of length {T} into {out_dir}")
@@ -309,7 +319,8 @@ def run_encode(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
     _write_config(cfg, out_dir)
     mean_prop = cfg["encode"]["mean_propagation"]
     latents = np.stack([
-        core.encode(model, ds.data[i], _spawn_seed(cfg["seed"], i), mean_propagation=mean_prop)
+        core.encode(model, ds.data[i], core.spawn_seed(cfg["seed"], i),
+                    mean_propagation=mean_prop)
         for i in range(ds.n_series)
     ])
     data.save_csv(data.SeriesDataset(latents, name="latents"), out_dir / "latents.csv")
@@ -332,12 +343,12 @@ def run_impute(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
         )}
         for i in range(ds.n_series):
             truth = ds.data[i]
-            mask_seed = _spawn_seed(icfg["mask_seed"], r_idx, i)
+            mask_seed = core.spawn_seed(icfg["mask_seed"], r_idx, i)
             masked, mask = tasks.apply_mar_mask(
                 truth, rate, mask_seed, per_channel=icfg["per_channel"]
             )
             filled = tasks.impute(
-                model, masked, mask, _spawn_seed(cfg["seed"], r_idx, i),
+                model, masked, mask, core.spawn_seed(cfg["seed"], r_idx, i),
                 n_samples=icfg["n_samples"], mean_propagation=icfg["mean_propagation"],
             )
             baseline = tasks.mean_fill(masked, mask)
@@ -350,11 +361,8 @@ def run_impute(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
             completed_all.append(filled)
             completed_ids.append(f"rate{rate:g}_s{i}")
         for name, vals in stats.items():
-            if not vals:
-                continue
-            arr = np.asarray(vals)
-            se = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else None
-            writer.add(name, float(arr.mean()), std_error=se, n=len(arr), rate=rate)
+            if vals:
+                writer.add_mean(name, vals, rate=rate)
     writer.flush()
     data.save_csv(
         data.SeriesDataset(np.stack(completed_all), name="imputed"),
@@ -387,7 +395,7 @@ def run_forecast(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
         context = ds.data[i, :T_c]
         truth = ds.data[i, T_c:T_c + H]
         ens = tasks.forecast_ensemble(
-            model, context, H, members=fcfg["members"], seed=_spawn_seed(cfg["seed"], i)
+            model, context, H, members=fcfg["members"], seed=core.spawn_seed(cfg["seed"], i)
         )
         mean_fc = ens.mean
         for h in range(H):
@@ -402,9 +410,7 @@ def run_forecast(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
             member_ids.append(f"s{i}_m{m}")
     for name, values in per_h.items():
         for h in range(H):
-            col = values[:, h]
-            se = float(col.std(ddof=1) / np.sqrt(len(col))) if len(col) > 1 else None
-            writer.add(name, float(col.mean()), std_error=se, n=len(col), h=h + 1)
+            writer.add_mean(name, values[:, h], h=h + 1)
         writer.add(f"{name}_avg", float(values.mean()), n=values.size)
     writer.flush()
     data.save_csv(
@@ -430,12 +436,12 @@ def run_eval_density(cfg: dict, out_dir: Path, model: core.AlternatorModel,
     _write_config(cfg, out_dir)
     n = ecfg["n_samples"]
     T = ds.n_steps
-    samples = core.generate_batch(model, n, T, _spawn_seed(cfg["seed"], 0)).xs
+    samples = core.generate_batch(model, n, T, core.spawn_seed(cfg["seed"], 0)).xs
     writer = MetricWriter(out_dir / "density_metrics.jsonl", "eval-density", cfg["seed"])
     value = mmd_fn(samples, ds.data)
     writer.add("mmd", value, n=n)
     if baseline is not None:
-        base_samples = core.generate_batch(baseline, n, T, _spawn_seed(cfg["seed"], 0)).xs
+        base_samples = core.generate_batch(baseline, n, T, core.spawn_seed(cfg["seed"], 0)).xs
         base_value = mmd_fn(base_samples, ds.data)
         writer.add("mmd_baseline", base_value, n=n)
         writer.add("mmd_ratio", value / base_value if base_value > 0 else float("inf"), n=n)

@@ -227,6 +227,11 @@ class AlternatorModel:
         return out
 
 
+def spawn_seed(seed: int, *key: int) -> int:
+    """A seed for the child stream ``key`` of ``seed``; equal keys give equal seeds."""
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
+
+
 def build_model(
     d_x: int,
     d_z: int,
@@ -239,7 +244,7 @@ def build_model(
     dynamics: str = NOISE_MODEL_DYNAMICS,
 ) -> AlternatorModel:
     """Construct a model with freshly initialized networks."""
-    net_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(4)]
+    net_seeds = [spawn_seed(seed, k) for k in range(4)]
 
     def spec(i, o):
         return NetworkSpec(
@@ -354,9 +359,12 @@ def alternate(
     constant, without gradient. The carried latent is ``mu_z +
     sigma_z*eps_z``, or ``mu_z`` when ``eps_z`` is None (mean propagation).
     mu_x is evaluated only where the observation uses it, unless
-    ``want_means`` (the training loss needs it at every step).
+    ``want_means`` (the training loss needs it at every step). Raises
+    ConfigError, when iteration starts, if the steps run past the schedule.
     """
     s = model.schedule
+    if t0 + steps > s.T:
+        raise ConfigError(f"steps {t0 + 1}..{t0 + steps} exceed schedule length {s.T}")
     z = _as_tensor(z0)
     for i in range(steps):
         t = t0 + i + 1
@@ -417,8 +425,6 @@ def generate_batch(model: AlternatorModel, n: int, T: int, seed: int) -> BatchTr
     """
     if T < 1:
         raise ConfigError("horizon must be >= 1")
-    if T > model.schedule.T:
-        raise ConfigError(f"horizon {T} exceeds schedule length {model.schedule.T}")
     rng = np.random.default_rng(seed)
     z0 = rng.standard_normal((n, model.d_z))
     eps = rng.standard_normal((T, n * (model.d_x + model.d_z)))
@@ -456,8 +462,6 @@ def encode_states(
     T = xs.shape[0]
     if T < 1:
         raise ConfigError("sequence length must be >= 1")
-    if T > model.schedule.T:
-        raise ConfigError(f"sequence length {T} exceeds schedule length {model.schedule.T}")
     rng = np.random.default_rng(seed)
     z0 = rng.standard_normal((1, model.d_z))
     eps_z = None if mean_propagation else rng.standard_normal((1, T, model.d_z))

@@ -4,7 +4,10 @@ Two network kinds are supported. The default is a tanh MLP with ``depth``
 hidden layers followed by a linear output projection. The opt-in
 self-attention kind treats each input coordinate as a token, embeds tokens
 with a shared linear map, applies ``depth`` single-head attention layers
-with residual connections, then mean-pools tokens into a linear head.
+with residual connections, then mean-pools tokens into a linear head. Both
+kinds run a whole (batch, input_dim) input at once: attention works on a
+(batch, tokens, hidden) tensor through the batched autodiff ops, so one
+forward records the same tape nodes at any batch size.
 """
 
 from __future__ import annotations
@@ -140,11 +143,12 @@ def activation_forward(x: Tensor, kind: str) -> Tensor:
 def self_attention_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     """Single-head self-attention with residual: softmax(QK^T/sqrt(d)) V + x.
 
-    ``x`` has shape (tokens, d); the three projections are square in d.
+    ``x`` has shape (tokens, d) or (batch, tokens, d); the three projections
+    are square in d.
     """
-    if x.data.ndim != 2:
-        raise ShapeError(f"self_attention_forward expects (tokens, d) input, got {x.shape}")
-    d = x.data.shape[1]
+    if x.data.ndim < 2:
+        raise ShapeError(f"self_attention_forward expects (..., tokens, d) input, got {x.shape}")
+    d = x.data.shape[-1]
     if d == 0:
         raise ShapeError("self_attention_forward needs d >= 1")
     for name, w in (("wq", wq), ("wk", wk), ("wv", wv)):
@@ -156,7 +160,7 @@ def self_attention_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Ten
 
 def _attention_weights(x: Tensor, wq: Tensor, wk: Tensor) -> Tensor:
     scores = ad.matmul(ad.matmul(x, wq), ad.transpose(ad.matmul(x, wk)))
-    return ad.softmax(ad.scale(scores, 1.0 / np.sqrt(x.data.shape[1])), axis=-1)
+    return ad.softmax(ad.scale(scores, 1.0 / np.sqrt(x.data.shape[-1])), axis=-1)
 
 
 def attention_matrix(x: Tensor, wq: Tensor, wk: Tensor) -> np.ndarray:
@@ -172,16 +176,17 @@ def _mlp_forward(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Tensor:
     return linear_forward(h, params["out.weight"], params["out.bias"])
 
 
-def _attention_forward_single(spec: NetworkSpec, params: ParameterSet, row: Tensor) -> Tensor:
-    # row: (1, input_dim) -> tokens (input_dim, 1) -> embedded (input_dim, hidden)
-    tokens = ad.reshape(row, (spec.input_dim, 1))
+def _attention_forward(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Tensor:
+    # x: (B, input_dim) -> tokens (B*input_dim, 1) -> embedded (B, input_dim, hidden)
+    B = x.data.shape[0]
+    tokens = ad.reshape(x, (B * spec.input_dim, 1))
     h = linear_forward(tokens, params["embed.weight"], params["embed.bias"])
+    h = ad.reshape(h, (B, spec.input_dim, spec.hidden_dim))
     for i in range(spec.depth):
         h = self_attention_forward(
             h, params[f"attn{i}.wq"], params[f"attn{i}.wk"], params[f"attn{i}.wv"]
         )
-    pooled = ad.reshape(ad.mean_rows(h), (1, spec.hidden_dim))
-    return linear_forward(pooled, params["out.weight"], params["out.bias"])
+    return linear_forward(ad.mean_rows(h), params["out.weight"], params["out.bias"])
 
 
 def network_forward(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Tensor:
@@ -193,14 +198,7 @@ def network_forward(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Tenso
         raise ShapeError(
             f"network_forward expects input with last dim {spec.input_dim}, got {x.shape}"
         )
-    if spec.kind == MLP:
-        out = _mlp_forward(spec, params, x)
-    else:
-        rows = [
-            _attention_forward_single(spec, params, ad.take_rows(x, b, b + 1))
-            for b in range(x.data.shape[0])
-        ]
-        out = rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
+    out = (_mlp_forward if spec.kind == MLP else _attention_forward)(spec, params, x)
     if squeeze:
         out = ad.reshape(out, (spec.output_dim,))
     return out

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlternatorModel, alternate, encode_states, stack_steps
+from .core import AlternatorModel, alternate, encode_states, spawn_seed, stack_steps
 from .errors import ConfigError, ShapeError
 
 MISSING_SENTINEL = np.nan
@@ -81,8 +81,6 @@ def impute(
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     T = masked_xs.shape[0]
-    if T > model.schedule.T:
-        raise ConfigError(f"series length {T} exceeds schedule length {model.schedule.T}")
     obs = _observed_grid(mask, T, model.d_x)
     data = np.where(obs, masked_xs, 0.0)  # sentinel never enters the recursion
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
@@ -144,19 +142,11 @@ def forecast_ensemble(
     T_c = context_xs.shape[0]
     if T_c < 1 or horizon < 1:
         raise ConfigError("context length and horizon must be >= 1")
-    if T_c + horizon > model.schedule.T:
-        raise ConfigError(
-            f"context {T_c} + horizon {horizon} exceeds schedule length {model.schedule.T}"
-        )
     if member_seeds is None:
-        member_seeds = [
-            int(s.generate_state(1)[0])
-            for s in np.random.SeedSequence(entropy=seed, spawn_key=(1,)).spawn(members)
-        ]
+        member_seeds = [spawn_seed(seed, 1, k) for k in range(members)]
     if len(member_seeds) < 1:
         raise ConfigError("ensemble needs at least one member")
-    encode_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(0,)).generate_state(1)[0])
-    _, z_last = encode_states(model, context_xs, encode_seed, mean_propagation=True)
+    _, z_last = encode_states(model, context_xs, spawn_seed(seed, 0), mean_propagation=True)
 
     # each member draws, per step, its observation noise then its latent noise
     noise = np.stack([

@@ -164,8 +164,6 @@ def rollout(
     _, T, d_x = batch.shape
     if d_x != model.d_x:
         raise ShapeError(f"batch channel dim {d_x} != model d_x {model.d_x}")
-    if T > model.schedule.T:
-        raise ConfigError(f"sequence length {T} exceeds schedule length {model.schedule.T}")
     steps = list(alternate(model, noise.z0, T, data=None if free_running else batch,
                            eps_x=noise.eps_x, eps_z=noise.eps_z, want_means=True,
                            want_noise_preds=want_noise_preds))

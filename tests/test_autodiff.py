@@ -98,6 +98,7 @@ def test_all_ops_match_finite_differences_on_random_inputs():
     b = Tensor(rng.uniform(-1, 1, size=(3, 4)))
     c = Tensor(rng.uniform(-1, 1, size=(4,)))
     weights = rng.uniform(0.5, 2.0, size=(2, 1))
+    d = Tensor(rng.uniform(-1, 1, size=(8, 8)))
 
     def build():
         h = ad.matmul(a, b)                     # (4, 4)
@@ -105,14 +106,15 @@ def test_all_ops_match_finite_differences_on_random_inputs():
         h = ad.gelu(h)
         h = ad.mul(h, ad.softmax(h, axis=-1))
         h = ad.sub(h, ad.scale(ad.transpose(h), 0.5))
-        h = ad.concat([h, ad.square(h)], axis=1)
-        h = ad.take_rows(h, 1, 3)
-        h = ad.reshape(h, (2, 8))
+        h = ad.concat([h, ad.square(h)], axis=1)      # (4, 8)
+        h = ad.matmul(ad.reshape(h, (2, 2, 8)), d)    # 3-D @ 2-D: (2, 2, 8)
+        h = ad.matmul(ad.transpose(h), h)             # 3-D @ 3-D: (2, 8, 8)
+        h = ad.mean_rows(h)                           # (2, 8)
         h = ad.stack([h, ad.tanh(h)], axis=1)   # (2, 2, 8)
         h = ad.scale(h, weights)                # array constant, broadcast over the last axis
         return ad.total_sum(ad.mul(h, h))
 
-    err = finite_difference_check(build, [a, b, c], h=1e-5)
+    err = finite_difference_check(build, [a, b, c, d], h=1e-5)
     assert err <= 1e-4
 
 

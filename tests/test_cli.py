@@ -13,7 +13,7 @@ import pytest
 
 import alternator
 from alternator import cli
-from alternator.core import load_model
+from alternator.core import load_model, spawn_seed
 from alternator.data import load_csv
 
 
@@ -228,7 +228,7 @@ def test_forecast_horizon_too_long_is_config_error(tiny_cfg, trained_run, tmp_pa
 def test_eval_density_self_comparison_is_zero(trained_run, tmp_path):
     gen_out = tmp_path / "gen"
     eval_seed = 11
-    gen_seed = cli._spawn_seed(eval_seed, 0)
+    gen_seed = spawn_seed(eval_seed, 0)
     assert run_cli("generate", "--checkpoint", trained_run / "checkpoint.alt",
                    "--out", gen_out, "--seed", gen_seed,
                    "--set", "generate.n_samples=6") == 0
@@ -296,6 +296,11 @@ _TINY_TRAIN = ["--set", "dataset.kind=bimodal", "--set", "dataset.n=4", "--set",
      "'eval_density.variant'"),
     ("eval-density", ["--set", "eval_density.n_samples=0"], cli.EXIT_CONFIG,
      "'eval_density.n_samples'"),
+    ("train", ["--set", "train.lr_max=NaN"], cli.EXIT_CONFIG, "'train.lr_max'"),
+    ("train", ["--set", "dataset.noise_std=NaN"], cli.EXIT_CONFIG, "'dataset.noise_std'"),
+    ("train", ["--set", "model.sigma_x=Infinity"], cli.EXIT_CONFIG, "'model.sigma_x'"),
+    ("train", ["--set", "model.beta_span=[0.1, NaN]"], cli.EXIT_CONFIG, "'model.beta_span'"),
+    ("generate", ["--set", "generate.horizon=9"], cli.EXIT_CONFIG, "'generate.horizon'"),
 ])
 def test_config_values_never_end_in_traceback(tiny_cfg, trained_run, tmp_path, task, extra,
                                               code, named):

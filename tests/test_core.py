@@ -311,6 +311,15 @@ def test_generate_rejects_horizon_beyond_schedule(tiny_model):
         generate(tiny_model, T=10, seed=0)
 
 
+def test_alternate_rejects_steps_past_schedule(tiny_model):
+    z0 = np.zeros((1, tiny_model.d_z))
+    T = tiny_model.schedule.T
+    assert len(list(alternate(tiny_model, z0, T))) == T
+    for steps, t0 in ((T + 1, 0), (1, T)):
+        with pytest.raises(ConfigError, match="exceed schedule length"):
+            list(alternate(tiny_model, z0, steps, t0=t0))
+
+
 def test_generate_monte_carlo_pure_noise_mean():
     # vanilla schedule + zero networks -> x is exactly sigma_x * noise;
     # mean of 10^4 samples stays within 5 standard errors of zero.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from alternator import autodiff as ad
-from alternator.autodiff import Tensor, finite_difference_check
+from alternator.autodiff import Tape, Tensor, finite_difference_check
 from alternator.errors import ConfigError, ShapeError
 from alternator.networks import (
     MLP,
@@ -168,6 +168,30 @@ def test_attention_network_batched_matches_per_row():
     batched = net(x).data
     rows = np.stack([net(x[i]).data for i in range(4)])
     assert np.allclose(batched, rows, atol=1e-12)
+
+
+def test_attention_network_gradients_match_finite_differences_batched():
+    spec = NetworkSpec(input_dim=3, output_dim=2, hidden_dim=4, depth=2,
+                       kind=SELF_ATTENTION)
+    net = Network.build(spec, seed=6)
+    x = Tensor(np.random.default_rng(1).uniform(-1, 1, (3, 3)))
+
+    def loss():
+        return ad.total_sum(ad.square(net(x)))
+
+    assert finite_difference_check(loss, list(net.params) + [x], h=1e-5) <= 1e-4
+
+
+def test_attention_forward_tape_size_does_not_depend_on_batch():
+    spec = NetworkSpec(input_dim=9, output_dim=2, hidden_dim=16, depth=2,
+                       kind=SELF_ATTENTION)
+    net = Network.build(spec, seed=0)
+    sizes = []
+    for batch in (1, 32):
+        with Tape() as tape:
+            net(np.ones((batch, 9)))
+        sizes.append(len(tape.nodes))
+    assert sizes[0] == sizes[1]
 
 
 def test_mlp_gradients_flow_through_network_forward():

@@ -9,6 +9,7 @@ from alternator.autodiff import Tape, Tensor, backward, finite_difference_check
 from alternator.core import NoiseSchedule, alternate, default_schedule, vanilla_schedule
 from alternator.data import synth_bimodal
 from alternator.errors import ConfigError, NumericError, ShapeError
+from alternator.networks import MLP, SELF_ATTENTION
 from alternator.training import (
     LITERAL,
     TRAJECTORY,
@@ -233,18 +234,19 @@ def test_teacher_forcing_feeds_data_free_running_feeds_samples():
     assert np.array_equal(r_fr.x.data, expected)
 
 
-@pytest.mark.parametrize("mode,free_running", [
-    (TRAJECTORY, False),
-    (LITERAL, False),
-    (TRAJECTORY, True),
+@pytest.mark.parametrize("mode,free_running,kind", [
+    pytest.param(TRAJECTORY, False, MLP, id="trajectory-False"),
+    pytest.param(LITERAL, False, MLP, id="literal-False"),
+    pytest.param(TRAJECTORY, True, MLP, id="trajectory-True"),
+    pytest.param(TRAJECTORY, True, SELF_ATTENTION, id="trajectory-True-self_attention"),
 ])
-def test_total_loss_gradients_match_finite_differences(mode, free_running):
-    model = make_model(d_x=2, d_z=2, T=2, hidden_dim=3, seed=7)
-    batch = np.random.default_rng(4).uniform(-1, 1, size=(1, 2, 2))
+def test_total_loss_gradients_match_finite_differences(mode, free_running, kind):
+    model = make_model(d_x=2, d_z=2, T=2, hidden_dim=3, seed=7, kind=kind)
+    batch = np.random.default_rng(4).uniform(-1, 1, size=(2, 2, 2))
     noise = draw_rollout_noise(
-        np.random.default_rng(5), 1, 2, 2, 2, mode=mode, free_running=free_running
+        np.random.default_rng(5), 2, 2, 2, 2, mode=mode, free_running=free_running
     )
-    cfg = TrainConfig(epochs=1, batch_size=1, noise_weight=1.0,
+    cfg = TrainConfig(epochs=1, batch_size=2, noise_weight=1.0,
                       noise_target_mode=mode, free_running=free_running)
 
     def loss_fn():
