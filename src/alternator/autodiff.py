@@ -5,11 +5,17 @@ every operation appends a node holding the inputs it needs to propagate
 gradients; the node list is in topological order by construction, so
 :func:`backward` is a single reverse sweep with deterministic, sequential
 float64 accumulation. With no active tape the same operations run
-record-free, which is what the sampling and evaluation paths use.
+record-free, which is what the sampling and evaluation paths use. A VJP
+returns one gradient per input, full-shape, except that :func:`select`
+returns only its slice, which :func:`backward` adds in place.
 
 Every operation checks its output for NaN/Inf and raises
 :class:`~alternator.errors.NumericError` instead of letting non-finite
-values propagate silently.
+values propagate silently. The fused :func:`mlp` op checks every affine
+output it computes, each hidden pre-activation and the final output, and
+names the layer in its error; tanh and GELU map finite input to finite
+output, so no activation output needs a check of its own, and an overflow
+that tanh would squash still raises.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -42,6 +48,8 @@ __all__ = [
     "stack",
     "reshape",
     "mean_rows",
+    "select",
+    "mlp",
 ]
 
 _TAPE_STACK: list["Tape"] = []
@@ -168,6 +176,11 @@ def _node_of(tape: Tape, t: Tensor) -> _Node:
 def _emit(op: str, out_data: np.ndarray, inputs: Sequence[Tensor], vjp) -> Tensor:
     """Finish an operation: finiteness check, then record if taping."""
     _check_finite(out_data, op)
+    return _record(out_data, inputs, vjp)
+
+
+def _record(out_data: np.ndarray, inputs: Sequence[Tensor], vjp) -> Tensor:
+    """Wrap an already checked result, recording it if a tape is active."""
     tape = _active_tape()
     if tape is None:
         return Tensor(out_data)
@@ -260,32 +273,39 @@ def transpose(a: Tensor) -> Tensor:
                  lambda g: (g.swapaxes(-1, -2),))
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def vjp(g):
-        return (g * (1.0 - out * out),)
-
-    return _emit("tanh", out, (a,), vjp)
+# Each activation returns its output and a thunk for its elementwise
+# derivative; tanh, gelu and the fused mlp op all take both from here.
+def _tanh_parts(x: np.ndarray):
+    out = np.tanh(x)
+    return out, lambda: 1.0 - out * out
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 
 
+def _gelu_parts(x: np.ndarray):
+    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+
+    def derivative():
+        sech2 = 1.0 - t * t
+        return 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+
+    return 0.5 * x * (1.0 + t), derivative
+
+
+_ACTIVATIONS = {"tanh": _tanh_parts, "gelu": _gelu_parts}
+
+
+def tanh(a: Tensor) -> Tensor:
+    out, derivative = _tanh_parts(a.data)
+    return _emit("tanh", out, (a,), lambda g: (g * derivative(),))
+
+
 def gelu(a: Tensor) -> Tensor:
     """GELU via the tanh approximation ``0.5*x*(1 + tanh(c*(x + a*x^3)))``."""
-    x = a.data
-    inner = _GELU_C * (x + _GELU_A * x**3)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
-
-    def vjp(g):
-        sech2 = 1.0 - t * t
-        d = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        return (g * d,)
-
-    return _emit("gelu", out, (a,), vjp)
+    out, derivative = _gelu_parts(a.data)
+    return _emit("gelu", out, (a,), lambda g: (g * derivative(),))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -359,6 +379,71 @@ def mean_rows(a: Tensor) -> Tensor:
     return _emit("mean_rows", a.data.mean(axis=-2), (a,), vjp)
 
 
+class _SliceGrad:
+    """A VJP result that is zero outside one slice; backward adds ``g`` there in place."""
+
+    __slots__ = ("shape", "axis", "index", "g")
+
+    def __init__(self, shape, axis, index, g):
+        self.shape, self.axis, self.index, self.g = shape, axis, index, g
+
+
+def select(a: Tensor, index: int, axis: int = 0) -> Tensor:
+    """The slice at ``index`` along ``axis``, without that axis.
+
+    Its gradient is zero outside that slice, so the VJP hands backward only
+    the slice: T selects from a (B, T, d) tensor cost O(B*T*d) in backward,
+    not O(B*T^2*d).
+    """
+    shape = a.data.shape
+
+    def vjp(g):
+        return (_SliceGrad(shape, axis, index, g),)
+
+    return _emit("select", np.take(a.data, index, axis=axis), (a,), vjp)
+
+
+def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]], activation: str) -> Tensor:
+    """Fused MLP, one tape node: ``h = act(h @ W + b)`` per hidden layer, then ``h @ W + b``.
+
+    ``x`` is (batch, in_dim) and ``layers`` the (weight, bias) pairs, the
+    output layer last. Forward and VJP do the arithmetic of the
+    matmul/add/activation chain in the same order, so values and gradients
+    are bitwise equal to it. Each affine output is checked for finiteness.
+    """
+    act = _ACTIVATIONS.get(activation)
+    if act is None:
+        raise ConfigError(f"unknown activation: {activation!r}")
+    last = len(layers) - 1
+    h = x.data
+    hs, derivatives = [], []      # each layer's input, each hidden layer's derivative
+    for k, (w, b) in enumerate(layers):
+        if h.ndim != 2 or h.shape[1] != w.data.shape[0] or w.data.shape[1:] != b.data.shape:
+            raise ShapeError(f"mlp layer {k}: input {h.shape}, weights {w.shape}, bias {b.shape}")
+        hs.append(h)
+        h = h @ w.data
+        h += b.data
+        _check_finite(h, "mlp output" if k == last else f"mlp layer {k}")
+        if k < last:
+            h, derivative = act(h)
+            derivatives.append(derivative)
+    weights = [w.data for w, _ in layers]
+    bias_shapes = [b.data.shape for _, b in layers]
+
+    def vjp(g):
+        grads = []
+        for k in range(last, -1, -1):
+            if k < last:
+                g = g * derivatives[k]()
+            grads += (_unbroadcast(g, bias_shapes[k]), hs[k].swapaxes(-1, -2) @ g)
+            g = g @ weights[k].swapaxes(-1, -2)
+        grads.append(g)
+        return tuple(reversed(grads))
+
+    inputs = [x] + [t for pair in layers for t in pair]
+    return _record(h, inputs, vjp)
+
+
 class Gradients:
     """Gradients from one backward sweep, queryable per tensor."""
 
@@ -384,7 +469,8 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
 
     ``loss`` must be a scalar recorded on ``tape``. Accumulation is ordinary
     float64 addition in a fixed sequential order, so results are bitwise
-    reproducible.
+    reproducible. A slice gradient from :func:`select` is added into its
+    slice of the input's gradient, which starts as zeros.
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -401,7 +487,11 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
         if g is None or node.vjp is None:
             continue
         for parent, contrib in zip(node.parents, node.vjp(g)):
-            if grads[parent.idx] is None:
+            if isinstance(contrib, _SliceGrad):
+                if grads[parent.idx] is None:
+                    grads[parent.idx] = np.zeros(contrib.shape)
+                np.moveaxis(grads[parent.idx], contrib.axis, 0)[contrib.index] += contrib.g
+            elif grads[parent.idx] is None:
                 grads[parent.idx] = np.array(contrib, dtype=np.float64, copy=True)
             else:
                 grads[parent.idx] += contrib

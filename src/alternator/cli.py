@@ -160,19 +160,37 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+# Fields whose default is None: null stays null, any other value must be
+# like this sample. The step counts must also be >= 1.
+_NULLABLE = {
+    "dataset.path": "",
+    "dataset.x0": 0.0,
+    "dataset.norm_min": [0.0],
+    "dataset.norm_max": [0.0],
+    "generate.horizon": 1,
+    "forecast.context_length": 1,
+}
+_AT_LEAST_ONE = ("generate.horizon", "forecast.context_length")
+
+
 def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
     """Reject keys missing from DEFAULTS and leaves unlike their default.
 
-    None means unset: a null leaf takes its DEFAULTS value. bool stays bool,
-    an int field takes only int, a float field also takes int but not NaN or
-    infinity, list elements follow the default's elements, seeds are
-    non-negative, and a field whose default is None is not checked.
+    None means unset: a null leaf takes its DEFAULTS value, or stays null
+    where that is None. bool stays bool, an int field takes only int, a
+    float field also takes int but not NaN or infinity, list elements follow
+    the default's elements, seeds are non-negative, and a field whose
+    default is None is checked against its ``_NULLABLE`` sample.
     """
     for key, value in cfg.items():
         name = prefix + key
         if key not in defaults:
             raise ConfigError(f"unknown config key {name!r}")
         default = defaults[key]
+        if default is None:
+            if value is None or name not in _NULLABLE:
+                continue
+            default = _NULLABLE[name]
         if isinstance(default, dict) and isinstance(value, dict):
             _check_types(value, default, name + ".")
         elif default is None:
@@ -184,9 +202,13 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
             kind = "finite float" if type(elem) is float else type(elem).__name__
             if isinstance(default, list):
                 kind = f"list of {kind}"
+            if name in _NULLABLE:
+                kind += " or null"
             raise ConfigError(f"config key {name!r} must be {kind}, got {value!r}")
         elif (key == "seed" or key.endswith("_seed")) and value < 0:
             raise ConfigError(f"config key {name!r} must be a non-negative seed, got {value}")
+        elif name in _AT_LEAST_ONE and value < 1:
+            raise ConfigError(f"config key {name!r} must be >= 1 or null, got {value}")
 
 
 def _like(value, default) -> bool:
@@ -239,7 +261,7 @@ def build_model_from_config(cfg: dict, d_x: int, T: int) -> core.AlternatorModel
 
 
 def _write_config(cfg: dict, out_dir: Path) -> None:
-    with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
+    with data.atomic_write(out_dir / "config.json", "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -268,7 +290,7 @@ class MetricWriter:
         self.add(metric, float(arr.mean()), std_error=se, n=len(arr), **extra)
 
     def flush(self) -> None:
-        with open(self.path, "w", encoding="utf-8") as fh:
+        with data.atomic_write(self.path, "w", encoding="utf-8") as fh:
             for rec in self.records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, _as_tensor
+from .data import atomic_write
 from .errors import CheckpointError, ConfigError
 from .networks import (
     MLP,
@@ -79,19 +80,28 @@ class NoiseSchedule:
     def alpha_limit(self) -> float:
         return 1.0 - self.sigma_z**2
 
-    def coef_x(self, t: int) -> tuple[float, float]:
-        """(sqrt(beta_t), sqrt(1 - beta_t - sigma_x^2)) for 1-based t."""
-        b = float(self.beta[t - 1])
-        if not 0.0 <= b <= self.beta_limit:
-            raise ConfigError(f"schedule violates beta bounds at t={t}: beta={b}")
-        return np.sqrt(b), np.sqrt(self.beta_limit - b)
+    def coef_x(self, t: "int | np.ndarray"):
+        """(sqrt(beta_t), sqrt(1 - beta_t - sigma_x^2)) for 1-based t, an int or an int array."""
+        return _coef_pair(self.beta, self.beta_limit, t, "beta")
 
-    def coef_z(self, t: int) -> tuple[float, float]:
-        """(sqrt(alpha_t), sqrt(1 - alpha_t - sigma_z^2)) for 1-based t."""
-        a = float(self.alpha[t - 1])
-        if not 0.0 <= a <= self.alpha_limit:
-            raise ConfigError(f"schedule violates alpha bounds at t={t}: alpha={a}")
-        return np.sqrt(a), np.sqrt(self.alpha_limit - a)
+    def coef_z(self, t: "int | np.ndarray"):
+        """(sqrt(alpha_t), sqrt(1 - alpha_t - sigma_z^2)) for 1-based t; see coef_x."""
+        return _coef_pair(self.alpha, self.alpha_limit, t, "alpha")
+
+
+def _coef_pair(coefs: np.ndarray, limit: float, t: "int | np.ndarray", name: str):
+    """(sqrt(c_t), sqrt(limit - c_t)), rejecting c_t outside [0, limit] (NaN included)."""
+    if not isinstance(t, np.ndarray):
+        c = float(coefs[t - 1])
+        if not 0.0 <= c <= limit:
+            raise ConfigError(f"schedule violates {name} bounds at t={t}: {name}={c}")
+        return np.sqrt(c), np.sqrt(limit - c)
+    c = coefs[t - 1]
+    bad = np.flatnonzero(~((0.0 <= c) & (c <= limit)))
+    if bad.size:
+        i = bad[0]
+        raise ConfigError(f"schedule violates {name} bounds at t={t[i]}: {name}={c[i]}")
+    return np.sqrt(c), np.sqrt(limit - c)
 
 
 def _check_sigmas(sigma_x: float, sigma_z: float) -> None:
@@ -265,11 +275,13 @@ def build_model(
 
 
 def mean_x_components(
-    model: AlternatorModel, z_prev, t: int, want_noise_pred: bool = False
+    model: AlternatorModel, z_prev, t: "int | np.ndarray", want_noise_pred: bool = False
 ) -> tuple[Tensor, "Tensor | None"]:
     """(mu_x, obs-noise prediction) at step t.
 
-    The noise network is evaluated only when its coefficient is nonzero or
+    ``t`` is an int, or an int array giving the step of each row of a
+    (n, d_z) ``z_prev``, so the steps of a whole rollout run in one call.
+    The noise network is evaluated only when a coefficient is nonzero or
     the caller asks for the prediction (the noise-matching loss does); when
     the coefficient is exactly zero it never enters the mean, keeping the
     boundary degeneration bitwise exact. Vanilla dynamics use the
@@ -280,27 +292,32 @@ def mean_x_components(
         sqrt_b, c = np.sqrt(1.0 - model.schedule.sigma_x**2), 0.0
     else:
         sqrt_b, c = model.schedule.coef_x(t)
+        if isinstance(t, np.ndarray):  # one coefficient per row
+            sqrt_b, c = sqrt_b[:, None], c[:, None]
+    use_noise = np.any(c != 0.0)
     mu = ad.scale(model.obs_net(z_prev), sqrt_b)
     pred = None
-    if c != 0.0 or want_noise_pred:
+    if use_noise or want_noise_pred:
         pred = model.obs_noise_net(z_prev)
-    if c != 0.0:
+    if use_noise:
         mu = ad.add(mu, ad.scale(pred, c))
     return mu, pred
 
 
 def mean_z_components(
-    model: AlternatorModel, z_prev, x_t, t: int, want_noise_pred: bool = False
+    model: AlternatorModel, z_prev, x_t, t: int, want_noise_pred: bool = False,
+    lat_out: "Tensor | None" = None,
 ) -> tuple[Tensor, "Tensor | None"]:
     """(mu_z, latent-noise prediction) at step t; see mean_x_components.
 
-    Under vanilla dynamics the second coefficient multiplies z_{t-1}.
+    ``lat_out`` is lat_net(x_t) when the caller has it already. Under
+    vanilla dynamics the second coefficient multiplies z_{t-1}.
     """
     z_prev = _as_tensor(z_prev)
     x_t = _as_tensor(x_t)
     vanilla = model.dynamics == VANILLA_DYNAMICS
     sqrt_a, c = model.schedule.coef_z(t)
-    mu = ad.scale(model.lat_net(x_t), sqrt_a)
+    mu = ad.scale(model.lat_net(x_t) if lat_out is None else lat_out, sqrt_a)
     pred = None
     if (c != 0.0 and not vanilla) or want_noise_pred:
         pred = model.lat_noise_net(ad.concat([z_prev, x_t], axis=-1))
@@ -346,6 +363,7 @@ def alternate(
     eps_z: "np.ndarray | None" = None,
     want_means: bool = False,
     want_noise_preds: bool = False,
+    lat_out: "Tensor | None" = None,
 ) -> Iterator[AlternationStep]:
     """Run steps t0+1 .. t0+steps of the alternation over a batch of latents.
 
@@ -359,12 +377,17 @@ def alternate(
     constant, without gradient. The carried latent is ``mu_z +
     sigma_z*eps_z``, or ``mu_z`` when ``eps_z`` is None (mean propagation).
     mu_x is evaluated only where the observation uses it, unless
-    ``want_means`` (the training loss needs it at every step). Raises
-    ConfigError, when iteration starts, if the steps run past the schedule.
+    ``want_means`` (the training loss needs it at every step). Under
+    teacher forcing the caller may pass ``lat_out``, lat_net over all of
+    ``data`` computed in one call, (B, step, d_z); step i then reads its
+    slice instead of calling lat_net. Raises ConfigError, when iteration
+    starts, if the steps run past the schedule.
     """
     s = model.schedule
     if t0 + steps > s.T:
         raise ConfigError(f"steps {t0 + 1}..{t0 + steps} exceed schedule length {s.T}")
+    if lat_out is not None and (data is None or observed is not None):
+        raise ConfigError("a precomputed lat_out needs fully observed data")
     z = _as_tensor(z0)
     for i in range(steps):
         t = t0 + i + 1
@@ -379,7 +402,9 @@ def alternate(
             x = mu_x if eps_x is None else ad.shift(mu_x, s.sigma_x * eps_x[:, i])
             if np.any(obs):
                 x = Tensor(np.where(obs, data[:, i], x.data))
-        mu_z, p_z = mean_z_components(model, z, x, t, want_noise_pred=want_noise_preds)
+        mu_z, p_z = mean_z_components(
+            model, z, x, t, want_noise_pred=want_noise_preds,
+            lat_out=None if lat_out is None else ad.select(lat_out, i, axis=1))
         z = mu_z if eps_z is None else ad.shift(mu_z, s.sigma_z * eps_z[:, i])
         yield AlternationStep(x, z, mu_x, mu_z, p_x, p_z)
 
@@ -512,7 +537,7 @@ def _pack_network(buf: io.BytesIO, net: Network) -> None:
 
 
 def save_model(model: AlternatorModel, path) -> None:
-    """Write a single-file binary checkpoint with a trailing CRC32."""
+    """Write a single-file binary checkpoint with a trailing CRC32, atomically."""
     buf = io.BytesIO()
     s = model.schedule
     buf.write(struct.pack(
@@ -524,7 +549,7 @@ def save_model(model: AlternatorModel, path) -> None:
     for name in _NET_ORDER:
         _pack_network(buf, getattr(model, name))
     payload = buf.getvalue()
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(payload)
         fh.write(struct.pack("<I", zlib.crc32(payload)))

@@ -1,10 +1,13 @@
-"""Dataset ingestion, normalization, synthetic generators, and splits."""
+"""Dataset ingestion, normalization, synthetic generators, splits, and atomic file writes."""
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -97,12 +100,30 @@ def load_csv(path) -> SeriesDataset:
     return SeriesDataset(data=data, name=str(path))
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Write through a temp file in ``path``'s directory that replaces ``path`` on success.
+
+    If the block raises, the temp file is removed and an existing ``path``
+    is left as it was, so readers see the old file or the whole new one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_csv(ds: SeriesDataset, path, series_ids: "list[str] | None" = None) -> None:
-    """Write a dataset in the long CSV format read by :func:`load_csv`."""
+    """Write a dataset in the long CSV format read by :func:`load_csv`, atomically."""
     if series_ids is None:
         series_ids = [f"s{i}" for i in range(ds.n_series)]
     header = [CSV_ID_COLUMN, CSV_TIME_COLUMN] + [f"v{j + 1}" for j in range(ds.n_channels)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, sid in enumerate(series_ids):

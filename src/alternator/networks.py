@@ -1,13 +1,19 @@
 """Network primitives: layer ops, parameter initialization, forward passes.
 
 Two network kinds are supported. The default is a tanh MLP with ``depth``
-hidden layers followed by a linear output projection. The opt-in
+hidden layers followed by a linear output projection, run as one fused
+autodiff op (:func:`alternator.autodiff.mlp`), so one call is one tape
+node at any depth. The opt-in
 self-attention kind treats each input coordinate as a token, embeds tokens
 with a shared linear map, applies ``depth`` single-head attention layers
 with residual connections, then mean-pools tokens into a linear head. Both
 kinds run a whole (batch, input_dim) input at once: attention works on a
 (batch, tokens, hidden) tensor through the batched autodiff ops, so one
 forward records the same tape nodes at any batch size.
+
+Of the model's four networks, training under teacher forcing runs lat_net,
+obs_net and obs_noise_net once per batch over all (batch * steps) rows;
+only lat_noise_net runs once per step (see :func:`alternator.training.rollout`).
 """
 
 from __future__ import annotations
@@ -169,11 +175,9 @@ def attention_matrix(x: Tensor, wq: Tensor, wk: Tensor) -> np.ndarray:
 
 
 def _mlp_forward(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Tensor:
-    h = x
-    for i in range(spec.depth):
-        h = linear_forward(h, params[f"layer{i}.weight"], params[f"layer{i}.bias"])
-        h = activation_forward(h, spec.activation)
-    return linear_forward(h, params["out.weight"], params["out.bias"])
+    layers = [(params[f"layer{i}.weight"], params[f"layer{i}.bias"]) for i in range(spec.depth)]
+    layers.append((params["out.weight"], params["out.bias"]))
+    return ad.mlp(x, layers, spec.activation)
 
 
 def _attention_forward(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Tensor:

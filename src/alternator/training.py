@@ -11,6 +11,11 @@ with w = (d_z sigma_z^2)/(d_x sigma_x^2) and
 gamma_t = (d_z sigma_z^2 alpha_t)/(d_x sigma_x^2 beta_t), or 0 where beta_t = 0.
 :func:`rollout` stacks each step field into one (B, T, .) tensor; each of the
 four terms is then one square-sum, with gamma_t as a per-step weight vector.
+Under teacher forcing only lat_noise_net([z_{t-1}; x_t]) depends on the
+recursion, so it is the one network run per step: lat_net runs once over
+the B*T data rows before the recursion, and obs_net and obs_noise_net once
+over the stacked z_0..z_{T-1} after it. Free running calls all four at
+every step.
 
 Latents are rolled out per batch (z_0 standard normal, z_t sampled from the
 model); observations feed the rollout from the training data by default
@@ -30,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .core import AlternatorModel, alternate
+from .core import AlternatorModel, alternate, mean_x_components
 from .data import SeriesDataset
 from .errors import ConfigError, NumericError, ShapeError
 
@@ -157,18 +162,35 @@ def rollout(
     """Run the alternation over a (B, T, d_x) batch and stack each field over time.
 
     Teacher forcing (default) feeds each data observation into the latent
-    update; mu_x is still computed for the loss. ``free_running`` instead
-    propagates the model's own sampled observation, the literal generative
-    recursion.
+    update; mu_x is still computed for the loss. Only lat_noise_net then
+    depends on the recursion: lat_net runs once over the B*T data rows
+    before it, and obs_net and obs_noise_net once over the stacked
+    z_0..z_{T-1} after it. ``free_running`` instead propagates the model's
+    own sampled observation, the literal generative recursion, and runs
+    every network at every step.
     """
-    _, T, d_x = batch.shape
+    B, T, d_x = batch.shape
     if d_x != model.d_x:
         raise ShapeError(f"batch channel dim {d_x} != model d_x {model.d_x}")
-    steps = list(alternate(model, noise.z0, T, data=None if free_running else batch,
-                           eps_x=noise.eps_x, eps_z=noise.eps_z, want_means=True,
-                           want_noise_preds=want_noise_preds))
-    fields = ("x", "z", "mu_x", "mu_z") + (("pred_x", "pred_z") if want_noise_preds else ())
-    return Rollout(noise, *(ad.stack([getattr(step, f) for step in steps], axis=1) for f in fields))
+    if free_running:
+        steps = list(alternate(model, noise.z0, T, eps_x=noise.eps_x, eps_z=noise.eps_z,
+                               want_means=True, want_noise_preds=want_noise_preds))
+        fields = ("x", "z", "mu_x", "mu_z") + (("pred_x", "pred_z") if want_noise_preds else ())
+        return Rollout(noise, *(ad.stack([getattr(s, f) for s in steps], axis=1) for f in fields))
+
+    lat_out = ad.reshape(model.lat_net(batch.reshape(B * T, d_x)), (B, T, model.d_z))
+    steps = list(alternate(model, noise.z0, T, data=batch, eps_z=noise.eps_z,
+                           want_noise_preds=want_noise_preds, lat_out=lat_out))
+    z_prev = ad.stack([Tensor(noise.z0)] + [s.z for s in steps[:-1]], axis=1)
+    mu_x, pred_x = mean_x_components(model, ad.reshape(z_prev, (B * T, model.d_z)),
+                                     np.tile(np.arange(1, T + 1), B),
+                                     want_noise_pred=want_noise_preds)
+    z, mu_z = (ad.stack([getattr(s, f) for s in steps], axis=1) for f in ("z", "mu_z"))
+    r = Rollout(noise, Tensor(batch), z, ad.reshape(mu_x, (B, T, d_x)), mu_z)
+    if want_noise_preds:
+        r.pred_x = ad.reshape(pred_x, (B, T, d_x))
+        r.pred_z = ad.stack([s.pred_z for s in steps], axis=1)
+    return r
 
 
 def alternator_loss(model: AlternatorModel, r: Rollout) -> tuple[Tensor, Tensor]:

@@ -5,7 +5,7 @@ import pytest
 
 from alternator import autodiff as ad
 from alternator.autodiff import Tape, Tensor, backward, finite_difference_check
-from alternator.errors import NumericError, ShapeError
+from alternator.errors import ConfigError, NumericError, ShapeError
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -99,6 +99,9 @@ def test_all_ops_match_finite_differences_on_random_inputs():
     c = Tensor(rng.uniform(-1, 1, size=(4,)))
     weights = rng.uniform(0.5, 2.0, size=(2, 1))
     d = Tensor(rng.uniform(-1, 1, size=(8, 8)))
+    mlp_params = [Tensor(rng.uniform(-1, 1, size=shape))
+                  for shape in ((8, 5), (5,), (5, 5), (5,), (5, 3), (3,))]
+    layers = list(zip(mlp_params[::2], mlp_params[1::2]))
 
     def build():
         h = ad.matmul(a, b)                     # (4, 4)
@@ -112,9 +115,14 @@ def test_all_ops_match_finite_differences_on_random_inputs():
         h = ad.mean_rows(h)                           # (2, 8)
         h = ad.stack([h, ad.tanh(h)], axis=1)   # (2, 2, 8)
         h = ad.scale(h, weights)                # array constant, broadcast over the last axis
+        h = ad.stack([ad.select(h, 1, axis=1), ad.select(h, 0, axis=1),
+                      ad.select(h, 1, axis=1)], axis=1)            # (2, 3, 8), a slice reused
+        rows = ad.reshape(h, (6, 8))
+        h = ad.concat([ad.mlp(rows, layers[:2] + layers[2:], "tanh"),
+                       ad.mlp(rows, [layers[0], layers[2]], "gelu")], axis=1)   # (6, 6)
         return ad.total_sum(ad.mul(h, h))
 
-    err = finite_difference_check(build, [a, b, c, d], h=1e-5)
+    err = finite_difference_check(build, [a, b, c, d] + mlp_params, h=1e-5)
     assert err <= 1e-4
 
 
@@ -209,3 +217,27 @@ def test_cross_tape_queries_are_safe():
     assert grads2.of(loss1) == 0.0          # foreign node -> zeros, never aliased
     with pytest.raises(ValueError):
         backward(t1, loss2)
+
+
+def test_select_takes_one_slice_and_scatters_its_gradient():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(3, 4, 2)))
+    g = rng.normal(size=(3, 2))
+    with Tape() as tape:
+        y = ad.select(x, 2, axis=1)
+        loss = ad.total_sum(ad.mul(y, Tensor(g)))
+    assert np.array_equal(y.data, x.data[:, 2])
+    want = np.zeros_like(x.data)
+    want[:, 2] = g
+    assert np.array_equal(backward(tape, loss).of(x), want)
+
+
+def test_mlp_rejects_unknown_activation_and_bad_shapes():
+    x = Tensor(np.ones((2, 3)))
+    w, b = Tensor(np.ones((3, 4))), Tensor(np.ones(4))
+    with pytest.raises(ConfigError):
+        ad.mlp(x, [(w, b)], "relu")
+    with pytest.raises(ShapeError):
+        ad.mlp(x, [(Tensor(np.ones((2, 4))), b)], "tanh")
+    with pytest.raises(ShapeError):
+        ad.mlp(x, [(w, Tensor(np.ones(3)))], "tanh")

@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import make_model
+
 import alternator
-from alternator import cli
+from alternator import cli, core, data
 from alternator.core import load_model, spawn_seed
 from alternator.data import load_csv
 
@@ -301,6 +303,18 @@ _TINY_TRAIN = ["--set", "dataset.kind=bimodal", "--set", "dataset.n=4", "--set",
     ("train", ["--set", "model.sigma_x=Infinity"], cli.EXIT_CONFIG, "'model.sigma_x'"),
     ("train", ["--set", "model.beta_span=[0.1, NaN]"], cli.EXIT_CONFIG, "'model.beta_span'"),
     ("generate", ["--set", "generate.horizon=9"], cli.EXIT_CONFIG, "'generate.horizon'"),
+    # fields whose default is null: null is accepted, other values are type-checked
+    ("generate", ["--set", "generate.horizon=null"], cli.EXIT_OK, None),
+    ("generate", ["--set", 'generate.horizon="abc"'], cli.EXIT_CONFIG, "'generate.horizon'"),
+    ("generate", ["--set", "generate.horizon=0"], cli.EXIT_CONFIG, "'generate.horizon'"),
+    ("forecast", ["--set", "forecast.context_length=2.5"], cli.EXIT_CONFIG,
+     "'forecast.context_length'"),
+    ("forecast", ["--set", "forecast.context_length=0"], cli.EXIT_CONFIG,
+     "'forecast.context_length'"),
+    ("train", ["--set", "dataset.x0=NaN"], cli.EXIT_CONFIG, "'dataset.x0'"),
+    ("train", ["--set", "dataset.path=5"], cli.EXIT_CONFIG, "'dataset.path'"),
+    ("train", ["--set", "dataset.norm_min=[0.0, NaN]"], cli.EXIT_CONFIG, "'dataset.norm_min'"),
+    ("train", ["--set", 'dataset.norm_max="a"'], cli.EXIT_CONFIG, "'dataset.norm_max'"),
 ])
 def test_config_values_never_end_in_traceback(tiny_cfg, trained_run, tmp_path, task, extra,
                                               code, named):
@@ -320,3 +334,40 @@ def test_config_values_never_end_in_traceback(tiny_cfg, trained_run, tmp_path, t
     assert proc.returncode == code, proc.stderr
     if named is not None:
         assert named in proc.stderr
+
+
+def _fail_csv(monkeypatch, path):
+    # one id too many: the third series raises IndexError after two were written
+    data.save_csv(data.SeriesDataset(np.ones((2, 3, 1))), path, series_ids=["a", "b", "c"])
+
+
+def _fail_checkpoint(monkeypatch, path):
+    def crc_fails(payload):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(core.zlib, "crc32", crc_fails)  # after magic and payload are written
+    core.save_model(make_model(), path)
+
+
+def _fail_metrics(monkeypatch, path):
+    writer = cli.MetricWriter(path, "impute", 0)
+    writer.add("model_mse", 1.0)
+    writer.add("model_mae", 2.0, bad=object())  # not JSON serializable
+    writer.flush()
+
+
+def _fail_config(monkeypatch, path):
+    cli._write_config({"a": 1, "b": object()}, path.parent)
+
+
+@pytest.mark.parametrize("name, fail", [
+    ("data.csv", _fail_csv), ("model.alt", _fail_checkpoint),
+    ("metrics.jsonl", _fail_metrics), ("config.json", _fail_config),
+])
+def test_failed_write_keeps_previous_artifact(tmp_path, monkeypatch, name, fail):
+    path = tmp_path / name
+    path.write_bytes(b"previous contents\n")
+    with pytest.raises((OSError, TypeError, IndexError)):
+        fail(monkeypatch, path)
+    assert path.read_bytes() == b"previous contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]

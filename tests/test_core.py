@@ -23,6 +23,7 @@ from alternator.core import (
     validate_schedule,
     vanilla_schedule,
 )
+from alternator.autodiff import Tensor
 from alternator.errors import CheckpointError, ConfigError
 
 
@@ -74,6 +75,18 @@ def test_validate_schedule_reports_nan_coefficients():
         s.coef_x(2)
     with pytest.raises(ConfigError, match="alpha"):
         s.coef_z(1)
+    with pytest.raises(ConfigError, match="t=2: beta=nan"):
+        s.coef_x(np.array([1, 1, 2]))
+
+
+def test_coefficients_of_a_step_vector_equal_the_per_step_ones():
+    s = NoiseSchedule(beta=np.array([0.0, 0.4, 0.91]), alpha=np.array([0.3, 0.5, 0.2]),
+                      sigma_x=0.3, sigma_z=0.15)
+    t = np.array([3, 1, 2, 3])
+    for coef in (s.coef_x, s.coef_z):
+        got = coef(t)
+        for k, step in enumerate(t):
+            assert (got[0][k], got[1][k]) == coef(int(step))
 
 
 def test_vanilla_schedule_values_and_zero_coefficient():
@@ -287,6 +300,21 @@ def test_alternate_skips_observation_mean_where_data_is_used(tiny_model):
     full = alternate(tiny_model, np.zeros((1, 2)), 3, data=xs, observed=observed,
                      want_means=True)
     assert all(s.mu_x is not None for s in full)
+    lat_out = Tensor(np.zeros((1, 3, 2)))
+    with pytest.raises(ConfigError, match="lat_out"):
+        next(alternate(tiny_model, np.zeros((1, 2)), 3, data=xs, observed=observed,
+                       lat_out=lat_out))
+
+
+def test_alternate_with_precomputed_lat_out_matches_per_step_lat_net(tiny_model):
+    xs = np.random.default_rng(6).normal(size=(3, 4, 2))
+    eps_z = np.random.default_rng(7).normal(size=(3, 4, 2))
+    z0 = np.zeros((3, 2))
+    lat_out = Tensor(tiny_model.lat_net(xs.reshape(12, 2)).data.reshape(3, 4, 2))
+    ref = list(alternate(tiny_model, z0, 4, data=xs, eps_z=eps_z))
+    got = list(alternate(tiny_model, z0, 4, data=xs, eps_z=eps_z, lat_out=lat_out))
+    for a, b in zip(ref, got):
+        np.testing.assert_allclose(b.z.data, a.z.data, rtol=1e-12, atol=1e-15)
 
 
 # --- trajectory generation ----------------------------------------------------

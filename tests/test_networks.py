@@ -5,7 +5,7 @@ import pytest
 
 from alternator import autodiff as ad
 from alternator.autodiff import Tape, Tensor, finite_difference_check
-from alternator.errors import ConfigError, ShapeError
+from alternator.errors import ConfigError, NumericError, ShapeError
 from alternator.networks import (
     MLP,
     SELF_ATTENTION,
@@ -212,3 +212,56 @@ def test_spec_validation():
         NetworkSpec(input_dim=1, output_dim=1, depth=0)
     with pytest.raises(ConfigError):
         NetworkSpec(input_dim=1, output_dim=1, kind="transformer")
+
+
+def _layer_chain(spec, params, x):
+    """The MLP as separate linear/activation ops: the reference for the fused op."""
+    h = x
+    for i in range(spec.depth):
+        h = linear_forward(h, params[f"layer{i}.weight"], params[f"layer{i}.bias"])
+        h = activation_forward(h, spec.activation)
+    return linear_forward(h, params["out.weight"], params["out.bias"])
+
+
+@pytest.mark.parametrize("activation", ["tanh", "gelu"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_fused_mlp_matches_layer_chain_bitwise(depth, activation):
+    spec = NetworkSpec(input_dim=5, output_dim=3, hidden_dim=7, depth=depth,
+                       activation=activation)
+    params = init_parameters(spec, seed=1)
+    rng = np.random.default_rng(2)
+    for t in params:
+        t.data += 0.1 * rng.normal(size=t.data.shape)  # nonzero biases
+    x_data = rng.normal(size=(11, 5))
+    weight = Tensor(rng.normal(size=(11, 3)))
+    results = []
+    for forward in (_layer_chain, network_forward):
+        x = Tensor(x_data.copy())
+        with Tape() as tape:
+            out = forward(spec, params, x)
+            loss = ad.total_sum(ad.mul(out, weight))
+        grads = ad.backward(tape, loss)
+        results.append([out.data, grads.of(x)] + [grads.of(t) for t in params])
+    for fused, chain in zip(*results):
+        assert np.array_equal(fused, chain)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("layer", [0, 1])
+def test_fused_mlp_hidden_overflow_raises_naming_the_layer(layer):
+    # tanh squashes the overflow to +-1, so a check on the output alone would pass
+    spec = NetworkSpec(input_dim=2, output_dim=2, hidden_dim=3, depth=2)
+    params = init_parameters(spec, seed=4)
+    params["layer0.weight"].data[:] = 1.0     # hidden units all tanh(20) = 1.0
+    params[f"layer{layer}.weight"].data[:] = 1e308
+    with pytest.raises(NumericError, match=f"mlp layer {layer}"):
+        network_forward(spec, params, Tensor(np.full((2, 2), 10.0)))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_mlp_call_records_one_tape_node(depth):
+    spec = NetworkSpec(input_dim=3, output_dim=2, hidden_dim=4, depth=depth)
+    net = Network.build(spec, seed=0)
+    with Tape() as tape:
+        net(np.ones((5, 3)))
+    assert sum(node.vjp is not None for node in tape.nodes) == 1

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_model, zero_network
 
+from alternator import autodiff as ad
 from alternator.autodiff import Tape, Tensor, backward, finite_difference_check
 from alternator.core import NoiseSchedule, alternate, default_schedule, vanilla_schedule
 from alternator.data import synth_bimodal
@@ -164,32 +165,58 @@ def test_total_loss_additivity_random_batches():
         assert min(b.alt_z, b.alt_x, b.nm_z, b.nm_x) >= 0.0
 
 
-def _per_step_breakdown(model, batch, noise, cfg):
-    """Reference objective: the loss terms summed step by step over the kernel's steps."""
+def _per_step_terms(model, batch, noise, cfg):
+    """Reference objective as taped ops, summed step by step over the kernel's steps.
+
+    Every network runs at every step (no precomputed lat_net output); returns
+    [total, alt_z, alt_x, nm_z, nm_x] tensors.
+    """
     s = model.schedule
     B, T, _ = batch.shape
     w = (model.d_z * s.sigma_z**2) / (model.d_x * s.sigma_x**2)
     steps = alternate(model, noise.z0, T, data=None if cfg.free_running else batch,
                       eps_x=noise.eps_x, eps_z=noise.eps_z, want_means=True,
                       want_noise_preds=True)
-    alt_z = alt_x = nm_z = nm_x = 0.0
+    alt_z = alt_x = nm_z = nm_x = Tensor(0.0)
+
+    def sq(a, b):
+        return ad.total_sum(ad.square(ad.sub(a, b)))
+
     for i, step in enumerate(steps):
-        residual_x = step.x.data - step.mu_x.data
-        alt_z += np.sum((step.z.data - step.mu_z.data) ** 2)
-        alt_x += np.sum(residual_x**2)
+        alt_z = ad.add(alt_z, sq(step.z, step.mu_z))
+        alt_x = ad.add(alt_x, sq(step.x, step.mu_x))
         if cfg.noise_target_mode == TRAJECTORY:
-            target_z, target_x = noise.eps_z[:, i], residual_x / s.sigma_x
+            target_z = Tensor(noise.eps_z[:, i])
+            target_x = ad.scale(ad.sub(step.x, step.mu_x), 1.0 / s.sigma_x)
         else:
-            target_z, target_x = noise.literal_z[:, i], noise.literal_x[:, i]
-        nm_z += np.sum((target_z - step.pred_z.data) ** 2)
+            target_z, target_x = Tensor(noise.literal_z[:, i]), Tensor(noise.literal_x[:, i])
+        nm_z = ad.add(nm_z, sq(target_z, step.pred_z))
         if s.beta[i] != 0.0:
             g = gamma_weight(model.d_x, model.d_z, s.sigma_x, s.sigma_z, s.alpha[i], s.beta[i])
-            nm_x += g * np.sum((target_x - step.pred_x.data) ** 2)
+            nm_x = ad.add(nm_x, ad.scale(sq(target_x, step.pred_x), g))
     lam = cfg.noise_weight
     if lam == 0.0:
-        nm_z = nm_x = 0.0
-    alt_z, alt_x, nm_z, nm_x = alt_z / B, w * alt_x / B, nm_z / B, nm_x / B
-    return [alt_z + alt_x + lam * (nm_z + nm_x), alt_z, alt_x, nm_z, nm_x]
+        nm_z = nm_x = Tensor(0.0)
+    alt_z, alt_x = ad.scale(alt_z, 1.0 / B), ad.scale(alt_x, w / B)
+    nm_z, nm_x = ad.scale(nm_z, 1.0 / B), ad.scale(nm_x, 1.0 / B)
+    return [ad.add(ad.add(alt_z, alt_x), ad.scale(ad.add(nm_z, nm_x), lam)),
+            alt_z, alt_x, nm_z, nm_x]
+
+
+def _assert_matches_per_step_reference(model, batch, noise, cfg):
+    """Loss terms at rtol 1e-12 and every parameter gradient at rtol 1e-10."""
+    params = model.named_parameters()
+    with Tape() as tape:
+        loss, b = total_loss(model, batch, cfg, noise)
+    grads = backward(tape, loss)
+    with Tape() as ref_tape:
+        want = _per_step_terms(model, batch, noise, cfg)
+    ref_grads = backward(ref_tape, want[0])
+    got = [b.total, b.alt_z, b.alt_x, b.nm_z, b.nm_x]
+    np.testing.assert_allclose(got, [t.item() for t in want], rtol=1e-12, atol=0.0)
+    for name, p in params.items():
+        np.testing.assert_allclose(grads.of(p), ref_grads.of(p), rtol=1e-10, atol=0.0,
+                                   err_msg=name)
 
 
 @pytest.mark.parametrize("mode,free_running,lam,beta_lo", [
@@ -205,11 +232,35 @@ def test_total_loss_matches_per_step_reference(mode, free_running, lam, beta_lo)
     noise = draw_rollout_noise(rng, 4, 5, 2, 3, mode=mode, free_running=free_running)
     cfg = TrainConfig(epochs=1, batch_size=4, noise_weight=lam, noise_target_mode=mode,
                       free_running=free_running)
-    _, b = total_loss(model, batch, cfg, noise)
-    got = [b.total, b.alt_z, b.alt_x, b.nm_z, b.nm_x]
-    want = _per_step_breakdown(model, batch, noise, cfg)
     assert (model.schedule.beta[0] == 0.0) == (beta_lo == 0.0)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    _assert_matches_per_step_reference(model, batch, noise, cfg)
+
+
+@pytest.mark.parametrize("free_running", [False, True])
+@pytest.mark.parametrize("dynamics,B", [("vanilla", 4), ("noise_models", 1)])
+def test_total_loss_matches_per_step_reference_vanilla_and_one_series(dynamics, B,
+                                                                      free_running):
+    model = make_model(d_x=2, d_z=3, T=5, seed=23, dynamics=dynamics)
+    rng = np.random.default_rng(24)
+    batch = rng.normal(size=(B, 5, 2))
+    noise = draw_rollout_noise(rng, B, 5, 2, 3, free_running=free_running)
+    cfg = TrainConfig(epochs=1, batch_size=B, noise_weight=0.7, free_running=free_running)
+    _assert_matches_per_step_reference(model, batch, noise, cfg)
+
+
+@pytest.mark.parametrize("T", [2, 6])
+def test_teacher_forced_tape_size_is_linear_in_steps(T):
+    # Under teacher forcing only lat_noise_net runs per step: each step records
+    # 8 nodes (select, scale, data leaf, concat, mlp, scale, add, shift), less 2
+    # at the default schedule's last step, on the boundary, where the noise
+    # term's scale and add are skipped. The other 66 are the three batched
+    # networks, the stacks, the loss terms and the parameter and noise leaves.
+    model = make_model(d_x=1, d_z=3, T=T, hidden_dim=5, seed=25)
+    batch = np.random.default_rng(26).normal(size=(4, T, 1))
+    noise = draw_rollout_noise(np.random.default_rng(27), 4, T, 1, 3)
+    with Tape() as tape:
+        total_loss(model, batch, TrainConfig(epochs=1, batch_size=4), noise)
+    assert len(tape.nodes) == 8 * T + 64
 
 
 def test_zero_networks_zero_data_vanilla_schedule_kills_observation_term():
