@@ -1,10 +1,12 @@
 """Experiment runner: reproducible train/generate/encode/impute/forecast/eval runs.
 
 Every run resolves its configuration (flags > config file > preset >
-defaults), writes the resolved tree verbatim next to its outputs, and emits
-machine-readable artifacts only: JSONL metric/loss records and long-format
-CSV dumps. Exit codes are stable: 0 success, 2 config error, 3 numeric
-abort, 4 I/O error.
+defaults), checks it, writes the resolved tree verbatim next to its outputs,
+and emits machine-readable artifacts only: JSONL metric/loss records and
+long-format CSV dumps. A run rejected by a check writes nothing. The
+encode, impute and forecast sweeps pass the whole dataset (for impute, every
+rate x series row) to one task call, which runs it as one batch. Exit codes
+are stable: 0 success, 2 config or shape error, 3 numeric abort, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core, data, metrics, tasks, training
-from .errors import CheckpointError, ConfigError, DataError, NumericError
+from .errors import CheckpointError, ConfigError, DataError, NumericError, ShapeError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -171,6 +173,8 @@ _NULLABLE = {
     "forecast.context_length": 1,
 }
 _AT_LEAST_ONE = ("generate.horizon", "forecast.context_length")
+_POSITIVE = ("train.lr_max", "train.lr_min", "train.adam_eps")
+_NON_NEGATIVE = ("dataset.noise_std",)
 
 
 def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
@@ -179,7 +183,8 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
     None means unset: a null leaf takes its DEFAULTS value, or stays null
     where that is None. bool stays bool, an int field takes only int, a
     float field also takes int but not NaN or infinity, list elements follow
-    the default's elements, seeds are non-negative, and a field whose
+    the default's elements, seeds are non-negative, the fields named in
+    ``_POSITIVE`` and ``_NON_NEGATIVE`` are range-checked, and a field whose
     default is None is checked against its ``_NULLABLE`` sample.
     """
     for key, value in cfg.items():
@@ -209,6 +214,10 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
             raise ConfigError(f"config key {name!r} must be a non-negative seed, got {value}")
         elif name in _AT_LEAST_ONE and value < 1:
             raise ConfigError(f"config key {name!r} must be >= 1 or null, got {value}")
+        elif name in _POSITIVE and value <= 0:
+            raise ConfigError(f"config key {name!r} must be > 0, got {value}")
+        elif name in _NON_NEGATIVE and value < 0:
+            raise ConfigError(f"config key {name!r} must be >= 0, got {value}")
 
 
 def _like(value, default) -> bool:
@@ -239,11 +248,28 @@ def resolve_dataset(cfg: dict) -> data.SeriesDataset:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     if d["normalize"]:
         if d["norm_min"] is not None and d["norm_max"] is not None:
+            for key in ("norm_min", "norm_max"):
+                if len(d[key]) != ds.n_channels:
+                    raise ConfigError(f"config key 'dataset.{key}' must list one value per "
+                                      f"channel ({ds.n_channels}), got {len(d[key])}")
             ds = data.apply_norm(ds, (np.asarray(d["norm_min"]), np.asarray(d["norm_max"])))
         else:
             ds = data.normalize_minmax(ds)
             d["norm_min"] = [float(v) for v in ds.norm[0]]
             d["norm_max"] = [float(v) for v in ds.norm[1]]
+    return ds
+
+
+def _task_dataset(cfg: dict, *models: "core.AlternatorModel | None") -> data.SeriesDataset:
+    """The dataset of a checkpoint task, checked against each checkpoint given."""
+    ds = resolve_dataset(cfg)
+    for model in (m for m in models if m is not None):
+        if ds.n_channels != model.d_x:
+            raise ConfigError(f"dataset has {ds.n_channels} channels but a checkpoint "
+                              f"has {model.d_x}")
+        if ds.n_steps > model.schedule.T:
+            raise ConfigError(f"dataset length {ds.n_steps} exceeds a checkpoint's schedule "
+                              f"length {model.schedule.T}")
     return ds
 
 
@@ -298,9 +324,9 @@ class MetricWriter:
 def run_train(cfg: dict, out_dir: Path) -> int:
     ds = resolve_dataset(cfg)
     cfg["model"]["d_x"] = ds.n_channels
-    _write_config(cfg, out_dir)
     model = build_model_from_config(cfg, ds.n_channels, ds.n_steps)
     train_cfg = training.TrainConfig(seed=cfg["seed"], **cfg["train"])
+    _write_config(cfg, out_dir)
     log_path = out_dir / "loss_log.jsonl"
     with open(log_path, "w", encoding="utf-8") as log:
         def log_fn(stats: training.EpochStats) -> None:
@@ -337,14 +363,11 @@ def run_generate(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
 
 
 def run_encode(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
-    ds = resolve_dataset(cfg)
+    ds = _task_dataset(cfg, model)
     _write_config(cfg, out_dir)
-    mean_prop = cfg["encode"]["mean_propagation"]
-    latents = np.stack([
-        core.encode(model, ds.data[i], core.spawn_seed(cfg["seed"], i),
-                    mean_propagation=mean_prop)
-        for i in range(ds.n_series)
-    ])
+    seeds = [core.spawn_seed(cfg["seed"], i) for i in range(ds.n_series)]
+    latents = core.encode(model, ds.data, seeds,
+                          mean_propagation=cfg["encode"]["mean_propagation"])
     data.save_csv(data.SeriesDataset(latents, name="latents"), out_dir / "latents.csv")
     print(f"encoded {ds.n_series} sequences into {out_dir}")
     return EXIT_OK
@@ -352,92 +375,86 @@ def run_encode(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
 
 def run_impute(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
     icfg = cfg["impute"]
-    if not icfg["rates"]:
+    rates = icfg["rates"]
+    if not rates:
         raise ConfigError("config key 'impute.rates' must list at least one rate")
-    ds = resolve_dataset(cfg)
+    if not all(0.0 <= r <= 1.0 for r in rates):
+        raise ConfigError(f"config key 'impute.rates' must lie in [0, 1], got {rates}")
+    if icfg["n_samples"] < 1:
+        raise ConfigError(f"config key 'impute.n_samples' must be >= 1, got {icfg['n_samples']}")
+    ds = _task_dataset(cfg, model)
     _write_config(cfg, out_dir)
+    # One row per (rate, series), rate-major; each row keeps its own mask and rollout seeds.
+    keys = [(r, i) for r in range(len(rates)) for i in range(ds.n_series)]
+    pairs = [tasks.apply_mar_mask(ds.data[i], rates[r], core.spawn_seed(icfg["mask_seed"], r, i),
+                                  per_channel=icfg["per_channel"]) for r, i in keys]
+    masked = np.stack([m for m, _ in pairs])
+    masks = [mask for _, mask in pairs]
+    filled = tasks.impute(
+        model, masked, tasks.MARMask.stack(masks),
+        [core.spawn_seed(cfg["seed"], r, i) for r, i in keys],
+        n_samples=icfg["n_samples"], mean_propagation=icfg["mean_propagation"],
+    )
+    stats: list[dict[str, list[float]]] = [{k: [] for k in (
+        "model_mae", "model_mse", "model_cc", "baseline_mae", "baseline_mse", "baseline_cc",
+    )} for _ in rates]
+    for j, (r, i) in enumerate(keys):
+        baseline = tasks.mean_fill(masked[j], masks[j])
+        for prefix, est in (("model", filled[j]), ("baseline", baseline)):
+            pm = metrics.pointwise_metrics(ds.data[i], est)
+            stats[r][f"{prefix}_mae"].append(pm.mae)
+            stats[r][f"{prefix}_mse"].append(pm.mse)
+            if pm.cc is not None:
+                stats[r][f"{prefix}_cc"].append(pm.cc)
     writer = MetricWriter(out_dir / "impute_metrics.jsonl", "impute", cfg["seed"])
-    completed_all = []
-    completed_ids = []
-    for r_idx, rate in enumerate(icfg["rates"]):
-        stats: dict[str, list[float]] = {k: [] for k in (
-            "model_mae", "model_mse", "model_cc", "baseline_mae", "baseline_mse", "baseline_cc",
-        )}
-        for i in range(ds.n_series):
-            truth = ds.data[i]
-            mask_seed = core.spawn_seed(icfg["mask_seed"], r_idx, i)
-            masked, mask = tasks.apply_mar_mask(
-                truth, rate, mask_seed, per_channel=icfg["per_channel"]
-            )
-            filled = tasks.impute(
-                model, masked, mask, core.spawn_seed(cfg["seed"], r_idx, i),
-                n_samples=icfg["n_samples"], mean_propagation=icfg["mean_propagation"],
-            )
-            baseline = tasks.mean_fill(masked, mask)
-            for prefix, est in (("model", filled), ("baseline", baseline)):
-                pm = metrics.pointwise_metrics(truth, est)
-                stats[f"{prefix}_mae"].append(pm.mae)
-                stats[f"{prefix}_mse"].append(pm.mse)
-                if pm.cc is not None:
-                    stats[f"{prefix}_cc"].append(pm.cc)
-            completed_all.append(filled)
-            completed_ids.append(f"rate{rate:g}_s{i}")
-        for name, vals in stats.items():
+    for rate, rate_stats in zip(rates, stats):
+        for name, vals in rate_stats.items():
             if vals:
                 writer.add_mean(name, vals, rate=rate)
     writer.flush()
     data.save_csv(
-        data.SeriesDataset(np.stack(completed_all), name="imputed"),
-        out_dir / "imputed.csv", series_ids=completed_ids,
+        data.SeriesDataset(filled, name="imputed"), out_dir / "imputed.csv",
+        series_ids=[f"rate{rates[r]:g}_s{i}" for r, i in keys],
     )
     print(f"imputation sweep over {len(icfg['rates'])} rates written to {out_dir}")
     return EXIT_OK
 
 
 def run_forecast(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
-    ds = resolve_dataset(cfg)
-    _write_config(cfg, out_dir)
     fcfg = cfg["forecast"]
+    M = fcfg["members"]
+    if M < 1:
+        raise ConfigError(f"config key 'forecast.members' must be >= 1, got {M}")
+    ds = _task_dataset(cfg, model)
     H = fcfg["horizon"]
-    T = ds.n_steps
+    S, T = ds.n_series, ds.n_steps
     T_c = fcfg["context_length"] or T - H
     if H < 1 or H >= T or T_c < 1 or T_c + H > T:
         raise ConfigError(
             f"horizon {H} incompatible with series length {T} (context {T_c})"
         )
+    _write_config(cfg, out_dir)
+    ens = tasks.forecast_ensemble(model, ds.data[:, :T_c], H, members=M,
+                                  seed=[core.spawn_seed(cfg["seed"], i) for i in range(S)])
+    truth = ds.data[:, T_c:T_c + H]
     climatology = tasks.climatology_forecast(ds.data, T_c, H)
-    writer = MetricWriter(out_dir / "forecast_metrics.jsonl", "forecast", cfg["seed"])
     per_h: dict[str, np.ndarray] = {
-        k: np.zeros((ds.n_series, H)) for k in
-        ("crps", "mse", "baseline_crps", "baseline_mse")
+        "crps": np.array([[metrics.crps_ensemble(ens.members[i, :, h], truth[i, h])
+                           for h in range(H)] for i in range(S)]),
+        "mse": ((ens.mean - truth) ** 2).mean(axis=-1),
+        "baseline_crps": np.array([[metrics.crps_ensemble(climatology[None, h], truth[i, h])
+                                    for h in range(H)] for i in range(S)]),
+        "baseline_mse": ((climatology - truth) ** 2).mean(axis=-1),
     }
-    member_rows = []
-    member_ids = []
-    for i in range(ds.n_series):
-        context = ds.data[i, :T_c]
-        truth = ds.data[i, T_c:T_c + H]
-        ens = tasks.forecast_ensemble(
-            model, context, H, members=fcfg["members"], seed=core.spawn_seed(cfg["seed"], i)
-        )
-        mean_fc = ens.mean
-        for h in range(H):
-            per_h["crps"][i, h] = metrics.crps_ensemble(ens.members[:, h], truth[h])
-            per_h["mse"][i, h] = float(((mean_fc[h] - truth[h]) ** 2).mean())
-            per_h["baseline_crps"][i, h] = metrics.crps_ensemble(
-                climatology[None, h], truth[h]
-            )
-            per_h["baseline_mse"][i, h] = float(((climatology[h] - truth[h]) ** 2).mean())
-        for m in range(ens.members.shape[0]):
-            member_rows.append(ens.members[m])
-            member_ids.append(f"s{i}_m{m}")
+    writer = MetricWriter(out_dir / "forecast_metrics.jsonl", "forecast", cfg["seed"])
     for name, values in per_h.items():
         for h in range(H):
             writer.add_mean(name, values[:, h], h=h + 1)
         writer.add(f"{name}_avg", float(values.mean()), n=values.size)
     writer.flush()
     data.save_csv(
-        data.SeriesDataset(np.stack(member_rows), name="ensemble"),
-        out_dir / "ensemble.csv", series_ids=member_ids,
+        data.SeriesDataset(ens.members.reshape(S * M, H, model.d_x), name="ensemble"),
+        out_dir / "ensemble.csv", series_ids=[f"s{i}_m{m}" for i in range(S) for m in range(M)],
     )
     print(f"forecast metrics over horizon {H} written to {out_dir}")
     return EXIT_OK
@@ -454,7 +471,7 @@ def run_eval_density(cfg: dict, out_dir: Path, model: core.AlternatorModel,
     if ecfg["n_samples"] < 1:
         raise ConfigError(f"config key 'eval_density.n_samples' must be >= 1, "
                           f"got {ecfg['n_samples']}")
-    ds = resolve_dataset(cfg)
+    ds = _task_dataset(cfg, model, baseline)
     _write_config(cfg, out_dir)
     n = ecfg["n_samples"]
     T = ds.n_steps
@@ -520,6 +537,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return run_eval_density(cfg, out_dir, model, baseline)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ShapeError as exc:
+        print(f"shape error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)

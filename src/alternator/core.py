@@ -23,14 +23,14 @@ import io
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, _as_tensor
 from .data import atomic_write
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, ShapeError
 from .networks import (
     MLP,
     SELF_ATTENTION,
@@ -468,39 +468,61 @@ def generate(model: AlternatorModel, T: int, seed: int) -> Trajectory:
     return Trajectory(xs=b.xs[0], zs=b.zs[0], mu_xs=b.mu_xs[0], mu_zs=b.mu_zs[0])
 
 
+def series_stack(xs, seed, d_x: int, what: str) -> tuple[np.ndarray, list, bool]:
+    """(S, T, d_x) stack, its S seeds, and whether ``xs`` was one series.
+
+    A (T, d_x) series is a stack of one and takes an int seed; an (S, T,
+    d_x) stack takes a sequence of S seeds, one per series.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    single = xs.ndim == 2
+    if single:
+        xs = xs[None]
+    if xs.ndim != 3 or xs.shape[0] < 1 or xs.shape[2] != d_x:
+        shape = xs.shape[1:] if single else xs.shape
+        raise ShapeError(f"expected (T, {d_x}) or (S, T, {d_x}) {what}, got {shape}")
+    seeds = np.ravel(seed).tolist()
+    if len(seeds) != xs.shape[0]:
+        raise ShapeError(f"expected one seed per series ({xs.shape[0]}), got {len(seeds)}")
+    return xs, seeds, single
+
+
 def encode_states(
     model: AlternatorModel,
     xs: np.ndarray,
-    seed: int,
+    seed: "int | Sequence[int]",
     mean_propagation: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Latent means for a clamped observation sequence, plus the final state.
+    """Latent means for clamped observation sequences, plus the final states.
 
     The recursion follows the generative process but feeds the given x_t to
     the latent update at every step. By default the carried latent is
     sampled (mu_z + sigma_z * noise); with ``mean_propagation`` the mean is
-    carried directly, giving a fully deterministic embedding.
+    carried directly, giving a fully deterministic embedding. One (T, d_x)
+    sequence and an int seed give (T, d_z) means and a (d_z,) state; an
+    (S, T, d_x) stack and S seeds give (S, T, d_z) and (S, d_z), all rows
+    run as one batch. Each sequence draws from its own seed as it would
+    alone: z_0, then its T latent noises.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != model.d_x:
-        raise ConfigError(f"expected (T, {model.d_x}) observations, got {xs.shape}")
-    T = xs.shape[0]
+    xs, seeds, single = series_stack(xs, seed, model.d_x, "observations")
+    T = xs.shape[1]
     if T < 1:
         raise ConfigError("sequence length must be >= 1")
-    rng = np.random.default_rng(seed)
-    z0 = rng.standard_normal((1, model.d_z))
-    eps_z = None if mean_propagation else rng.standard_normal((1, T, model.d_z))
-    mu_zs, zs = stack_steps(alternate(model, z0, T, data=xs[None], eps_z=eps_z), T, "mu_z", "z")
-    return mu_zs[0], zs[0, -1]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    z0 = np.stack([rng.standard_normal(model.d_z) for rng in rngs])
+    eps_z = None if mean_propagation else np.stack(
+        [rng.standard_normal((T, model.d_z)) for rng in rngs])
+    mu_zs, zs = stack_steps(alternate(model, z0, T, data=xs, eps_z=eps_z), T, "mu_z", "z")
+    return (mu_zs[0], zs[0, -1]) if single else (mu_zs, zs[:, -1])
 
 
 def encode(
     model: AlternatorModel,
     xs: np.ndarray,
-    seed: int,
+    seed: "int | Sequence[int]",
     mean_propagation: bool = False,
 ) -> np.ndarray:
-    """Sequence of latent means (T, d_z) for the given observations."""
+    """Latent means, (T, d_z) for one sequence or (S, T, d_z) for a stack."""
     mu_zs, _ = encode_states(model, xs, seed, mean_propagation)
     return mu_zs
 

@@ -82,15 +82,6 @@ class ParameterSet:
     def items(self):
         return self._params.items()
 
-    def n_scalars(self) -> int:
-        return sum(t.size for t in self)
-
-    def copy(self) -> "ParameterSet":
-        out = ParameterSet()
-        for name, t in self.items():
-            out.add(name, t.data.copy())
-        return out
-
 
 def init_parameters(spec: NetworkSpec, seed: int) -> ParameterSet:
     """Fan-in initialization: weights ~ N(0, 1/in_dim), biases zero."""

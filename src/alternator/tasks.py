@@ -1,12 +1,26 @@
-"""Downstream tasks: missing-at-random masking, imputation, forecasting."""
+"""Downstream tasks: missing-at-random masking, imputation, forecasting.
+
+``impute`` and ``forecast_ensemble`` take one (T, d_x) series with an int
+seed, or an (S, T, d_x) stack with one seed per series. A stack runs as one
+batch through ``core.alternate``, and each series draws from the same seed
+streams as it would alone. A single series is run as a stack of one.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import AlternatorModel, alternate, encode_states, spawn_seed, stack_steps
+from .core import (
+    AlternatorModel,
+    alternate,
+    encode_states,
+    series_stack,
+    spawn_seed,
+    stack_steps,
+)
 from .errors import ConfigError, ShapeError
 
 MISSING_SENTINEL = np.nan
@@ -14,15 +28,26 @@ MISSING_SENTINEL = np.nan
 
 @dataclass
 class MARMask:
-    """Missing-at-random mask: True marks an observed timestep."""
+    """Missing-at-random mask: True marks an observed timestep.
+
+    A mask over a stack of series has a leading (S,) axis on ``observed``
+    and one rate and one seed per series.
+    """
 
     observed: np.ndarray     # bool, (T,) or (T, d_x) when per-channel
-    rate: float
-    seed: int
+    rate: "float | np.ndarray"
+    seed: "int | np.ndarray"
 
     @property
     def missing_fraction(self) -> float:
         return float(1.0 - self.observed.mean())
+
+    @staticmethod
+    def stack(masks: "Sequence[MARMask]") -> "MARMask":
+        """One mask over the stack of the masks' series, in order."""
+        return MARMask(observed=np.stack([m.observed for m in masks]),
+                       rate=np.array([m.rate for m in masks]),
+                       seed=np.array([m.seed for m in masks]))
 
 
 def apply_mar_mask(
@@ -51,20 +76,21 @@ def apply_mar_mask(
     return masked, MARMask(observed=observed, rate=rate, seed=seed)
 
 
-def _observed_grid(mask: MARMask, T: int, d_x: int) -> np.ndarray:
-    obs = mask.observed
-    if obs.shape == (T,):
-        return np.broadcast_to(obs[:, None], (T, d_x))
-    if obs.shape == (T, d_x):
+def _observed_grid(observed: np.ndarray, shape: tuple) -> np.ndarray:
+    """Per-entry flags for series of ``shape`` (..., T, d_x) from a step or entry mask."""
+    obs = np.asarray(observed)
+    if obs.shape == shape[:-1]:
+        return np.broadcast_to(obs[..., None], shape)
+    if obs.shape == shape:
         return obs
-    raise ShapeError(f"mask shape {obs.shape} inconsistent with series ({T}, {d_x})")
+    raise ShapeError(f"mask shape {obs.shape} inconsistent with series {shape}")
 
 
 def impute(
     model: AlternatorModel,
     masked_xs: np.ndarray,
     mask: MARMask,
-    seed: int,
+    seed: "int | Sequence[int]",
     n_samples: int = 1,
     mean_propagation: bool = False,
 ) -> np.ndarray:
@@ -73,35 +99,36 @@ def impute(
     At observed steps the datum drives the latent update; at missing steps
     the model's own observation mean substitutes as input and is emitted.
     Observed entries pass through unchanged. ``n_samples`` > 1 averages the
-    emitted means over that many independent rollouts.
+    emitted means over that many independent rollouts. A (T, d_x) series
+    takes an int seed and returns (T, d_x); an (S, T, d_x) stack takes a
+    mask with a leading (S,) axis and S seeds, returns (S, T, d_x), and
+    runs all S * n_samples rollouts as one batch. Rollout k of a series
+    draws from the spawn of its seed with key (k,).
     """
-    masked_xs = np.asarray(masked_xs, dtype=np.float64)
-    if masked_xs.ndim != 2 or masked_xs.shape[1] != model.d_x:
-        raise ShapeError(f"expected (T, {model.d_x}) series, got {masked_xs.shape}")
+    xs, seeds, single = series_stack(masked_xs, seed, model.d_x, "series")
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
-    T = masked_xs.shape[0]
-    obs = _observed_grid(mask, T, model.d_x)
-    data = np.where(obs, masked_xs, 0.0)  # sentinel never enters the recursion
-    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-            for k in range(n_samples)]
+    S, T, _ = xs.shape
+    obs = _observed_grid(mask.observed[None] if single else mask.observed, xs.shape)
+    data = np.where(obs, xs, 0.0)  # sentinel never enters the recursion
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=s, spawn_key=(k,)))
+            for s in seeds for k in range(n_samples)]
     z0 = np.stack([rng.standard_normal(model.d_z) for rng in rngs])
     eps_z = None if mean_propagation else np.stack(
         [rng.standard_normal((T, model.d_z)) for rng in rngs])
-    batch = (n_samples, T, model.d_x)
-    steps = alternate(model, z0, T, data=np.broadcast_to(data, batch),
-                      observed=np.broadcast_to(obs, batch), eps_z=eps_z)
-    (xs,) = stack_steps(steps, T, "x")
-    completed = xs.sum(axis=0) / n_samples
-    completed[obs] = masked_xs[obs]  # exact pass-through, no averaging artifacts
-    return completed
+    rows = np.repeat(np.arange(S), n_samples)
+    steps = alternate(model, z0, T, data=data[rows], observed=obs[rows], eps_z=eps_z)
+    (filled,) = stack_steps(steps, T, "x")
+    completed = filled.reshape(S, n_samples, T, model.d_x).sum(axis=1) / n_samples
+    completed[obs] = xs[obs]  # exact pass-through, no averaging artifacts
+    return completed[0] if single else completed
 
 
 def mean_fill(masked_xs: np.ndarray, mask: MARMask) -> np.ndarray:
     """Baseline: replace missing entries by the per-channel observed mean."""
     masked_xs = np.asarray(masked_xs, dtype=np.float64)
-    T, d_x = masked_xs.shape
-    obs = _observed_grid(mask, T, d_x)
+    _, d_x = masked_xs.shape
+    obs = _observed_grid(mask.observed, masked_xs.shape)
     out = masked_xs.copy()
     for j in range(d_x):
         col_obs = obs[:, j]
@@ -112,14 +139,14 @@ def mean_fill(masked_xs: np.ndarray, mask: MARMask) -> np.ndarray:
 
 @dataclass
 class EnsembleForecast:
-    """Free-running continuations of one encoded context."""
+    """Free-running continuations of one encoded context, or of a stack of them."""
 
-    members: np.ndarray           # (M, H, d_x)
+    members: np.ndarray           # (M, H, d_x), or (S, M, H, d_x) for a stack
     conditioning_length: int
 
     @property
     def mean(self) -> np.ndarray:
-        return self.members.mean(axis=0)
+        return self.members.mean(axis=-3)
 
 
 def forecast_ensemble(
@@ -127,35 +154,43 @@ def forecast_ensemble(
     context_xs: np.ndarray,
     horizon: int,
     members: int = 50,
-    seed: int = 0,
-    member_seeds: "list[int] | None" = None,
+    seed: "int | Sequence[int]" = 0,
+    member_seeds: "Sequence | None" = None,
 ) -> EnsembleForecast:
     """Encode the context deterministically, then roll each member forward.
 
     The context is consumed with mean-propagation encoding so the ensemble
     spread comes only from the forecast-phase noise; members differ only in
-    their noise draws.
+    their noise draws. A (T_c, d_x) context takes an int seed; an (S, T_c,
+    d_x) stack takes S seeds (and, if given, S lists of member seeds of one
+    length), and all S * M members roll as one batch. A context encodes
+    with the spawn of its seed with key (0,), and member k draws from the
+    spawn with key (1, k) unless ``member_seeds`` names its seed.
     """
-    context_xs = np.asarray(context_xs, dtype=np.float64)
-    if context_xs.ndim != 2 or context_xs.shape[1] != model.d_x:
-        raise ShapeError(f"expected (T_c, {model.d_x}) context, got {context_xs.shape}")
-    T_c = context_xs.shape[0]
+    ctx, seeds, single = series_stack(context_xs, seed, model.d_x, "context")
+    T_c = ctx.shape[1]
     if T_c < 1 or horizon < 1:
         raise ConfigError("context length and horizon must be >= 1")
     if member_seeds is None:
-        member_seeds = [spawn_seed(seed, 1, k) for k in range(members)]
-    if len(member_seeds) < 1:
-        raise ConfigError("ensemble needs at least one member")
-    _, z_last = encode_states(model, context_xs, spawn_seed(seed, 0), mean_propagation=True)
+        member_seeds = [[spawn_seed(s, 1, k) for k in range(members)] for s in seeds]
+    elif single:
+        member_seeds = [member_seeds]
+    M = len(member_seeds[0]) if len(member_seeds) == len(seeds) else 0
+    if M < 1 or any(len(row) != M for row in member_seeds):
+        raise ConfigError("ensemble needs at least one member, and as many for every series")
+    _, z_last = encode_states(model, ctx, [spawn_seed(s, 0) for s in seeds],
+                              mean_propagation=True)
 
     # each member draws, per step, its observation noise then its latent noise
     noise = np.stack([
         np.random.default_rng(mseed).standard_normal((horizon, model.d_x + model.d_z))
-        for mseed in member_seeds
+        for row in member_seeds for mseed in row
     ])
-    steps = alternate(model, np.tile(z_last, (len(member_seeds), 1)), horizon, t0=T_c,
+    steps = alternate(model, np.repeat(z_last, M, axis=0), horizon, t0=T_c,
                       eps_x=noise[..., :model.d_x], eps_z=noise[..., model.d_x:])
-    return EnsembleForecast(members=stack_steps(steps, horizon, "x")[0], conditioning_length=T_c)
+    (xs,) = stack_steps(steps, horizon, "x")
+    xs = xs.reshape(len(seeds), M, horizon, model.d_x)
+    return EnsembleForecast(members=xs[0] if single else xs, conditioning_length=T_c)
 
 
 def climatology_forecast(train_data: np.ndarray, t_start: int, horizon: int) -> np.ndarray:

@@ -17,6 +17,7 @@ import alternator
 from alternator import cli, core, data
 from alternator.core import load_model, spawn_seed
 from alternator.data import load_csv
+from alternator.errors import ShapeError
 
 
 def run_cli(*argv):
@@ -225,6 +226,25 @@ def test_forecast_horizon_too_long_is_config_error(tiny_cfg, trained_run, tmp_pa
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("task, extra", [
+    ("train", ["--set", "train.epochs=0"]),
+    ("train", ["--set", "model.depth=0"]),
+    ("forecast", ["--set", "forecast.horizon=8"]),
+    ("forecast", ["--set", "forecast.members=0"]),
+    ("impute", ["--set", "impute.n_samples=0"]),
+    ("impute", ["--set", "impute.rates=[1.5]"]),
+    ("impute", ["--set", "dataset.t=9"]),        # longer than the checkpoint's schedule
+    ("encode", ["--set", "dataset.t=9"]),
+    ("eval-density", ["--set", "dataset.t=9"]),
+])
+def test_rejected_run_writes_nothing(tiny_cfg, trained_run, tmp_path, task, extra):
+    out = tmp_path / "rejected"
+    ckpt = [] if task == "train" else ["--checkpoint", trained_run / "checkpoint.alt"]
+    code = run_cli(task, "--config", tiny_cfg, *ckpt, "--out", out, *extra)
+    assert code == cli.EXIT_CONFIG
+    assert list(out.iterdir()) == []
+
+
 # --- eval-density ---------------------------------------------------------------
 
 def test_eval_density_self_comparison_is_zero(trained_run, tmp_path):
@@ -261,6 +281,29 @@ def test_eval_density_baseline_ratio(tiny_cfg, trained_run, tmp_path):
 
 # --- exit codes ---------------------------------------------------------------
 
+def test_eval_density_checks_baseline_before_writing(tiny_cfg, trained_run, tmp_path, capsys):
+    baseline = tmp_path / "two_channel.alt"
+    core.save_model(make_model(d_x=2, d_z=2, T=8), baseline)
+    out = tmp_path / "ev"
+    code = run_cli("eval-density", "--config", tiny_cfg, "--checkpoint",
+                   trained_run / "checkpoint.alt", "--baseline-checkpoint", baseline,
+                   "--out", out, "--set", "eval_density.n_samples=4")
+    assert code == cli.EXIT_CONFIG
+    assert "a checkpoint has 2" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_shape_error_exits_with_config_code(trained_run, tmp_path, capsys, monkeypatch):
+    def mismatched(*args, **kwargs):
+        raise ShapeError("incompatible shapes")
+
+    monkeypatch.setattr(core, "generate_batch", mismatched)
+    code = run_cli("generate", "--checkpoint", trained_run / "checkpoint.alt",
+                   "--out", tmp_path / "gen")
+    assert code == cli.EXIT_CONFIG
+    assert "shape error: incompatible shapes" in capsys.readouterr().err
+
+
 def test_missing_dataset_kind_is_config_error(tmp_path):
     assert run_cli("train", "--out", tmp_path / "x") == cli.EXIT_CONFIG
 
@@ -278,6 +321,8 @@ def test_numeric_abort_exit_code(tiny_cfg, tmp_path):
     assert code == cli.EXIT_NUMERIC
 
 
+_NORM_TWO_CHANNELS = ["--set", "dataset.normalize=true", "--set", "dataset.norm_min=[0.0, 0.0]",
+                      "--set", "dataset.norm_max=[1.0, 1.0]"]
 _TINY_TRAIN = ["--set", "dataset.kind=bimodal", "--set", "dataset.n=4", "--set", "dataset.t=3",
                "--set", "train.epochs=1", "--set", "model.d_z=2", "--set", "model.hidden_dim=4"]
 
@@ -315,6 +360,19 @@ _TINY_TRAIN = ["--set", "dataset.kind=bimodal", "--set", "dataset.n=4", "--set",
     ("train", ["--set", "dataset.path=5"], cli.EXIT_CONFIG, "'dataset.path'"),
     ("train", ["--set", "dataset.norm_min=[0.0, NaN]"], cli.EXIT_CONFIG, "'dataset.norm_min'"),
     ("train", ["--set", 'dataset.norm_max="a"'], cli.EXIT_CONFIG, "'dataset.norm_max'"),
+    # numeric ranges, norm records of the wrong length, and task inputs
+    ("train", ["--set", "train.lr_max=-1", "--set", "train.lr_min=-2"], cli.EXIT_CONFIG,
+     "'train.lr_max'"),
+    ("train", ["--set", "train.lr_min=0"], cli.EXIT_CONFIG, "'train.lr_min'"),
+    ("train", ["--set", "train.adam_eps=0"], cli.EXIT_CONFIG, "'train.adam_eps'"),
+    ("train", ["--set", "dataset.noise_std=-1"], cli.EXIT_CONFIG, "'dataset.noise_std'"),
+    ("train", ["--set", "dataset.noise_std=0"], cli.EXIT_OK, None),
+    ("train", _NORM_TWO_CHANNELS, cli.EXIT_CONFIG, "'dataset.norm_min'"),
+    ("impute", _NORM_TWO_CHANNELS, cli.EXIT_CONFIG, "'dataset.norm_min'"),
+    ("forecast", _NORM_TWO_CHANNELS, cli.EXIT_CONFIG, "'dataset.norm_min'"),
+    ("impute", ["--set", "impute.n_samples=0"], cli.EXIT_CONFIG, "'impute.n_samples'"),
+    ("impute", ["--set", "impute.rates=[0.5, 1.5]"], cli.EXIT_CONFIG, "'impute.rates'"),
+    ("forecast", ["--set", "forecast.members=0"], cli.EXIT_CONFIG, "'forecast.members'"),
 ])
 def test_config_values_never_end_in_traceback(tiny_cfg, trained_run, tmp_path, task, extra,
                                               code, named):

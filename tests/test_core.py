@@ -24,7 +24,7 @@ from alternator.core import (
     vanilla_schedule,
 )
 from alternator.autodiff import Tensor
-from alternator.errors import CheckpointError, ConfigError
+from alternator.errors import CheckpointError, ConfigError, ShapeError
 
 
 # --- schedules ---------------------------------------------------------------
@@ -285,6 +285,25 @@ def test_encode_states_matches_reference_loop_bitwise(mean_propagation):
     ref_mu, ref_z = _reference_encode(model, xs, 8, mean_propagation)
     assert np.array_equal(mu_zs, ref_mu)
     assert np.array_equal(z_last, ref_z)
+
+
+@pytest.mark.parametrize("mean_propagation", [False, True])
+def test_encode_states_stack_matches_per_series_calls(mean_propagation):
+    model = make_model(d_x=3, d_z=2, T=6, seed=33)
+    xs = np.random.default_rng(6).normal(size=(5, 6, 3))
+    seeds = [3, 1, 4, 1, 5]
+    mu_zs, z_last = encode_states(model, xs, seeds, mean_propagation=mean_propagation)
+    want = [encode_states(model, x, s, mean_propagation=mean_propagation)
+            for x, s in zip(xs, seeds)]
+    assert mu_zs.shape == (5, 6, 2) and z_last.shape == (5, 2)
+    np.testing.assert_allclose(mu_zs, np.stack([w[0] for w in want]), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(z_last, np.stack([w[1] for w in want]), rtol=1e-12, atol=1e-15)
+    one_mu, one_z = encode_states(model, xs[2:3], seeds[2:3], mean_propagation=mean_propagation)
+    assert np.array_equal(one_mu[0], want[2][0]) and np.array_equal(one_z[0], want[2][1])
+    with pytest.raises(ShapeError):
+        encode_states(model, xs, seeds[:4])
+    with pytest.raises(ShapeError):
+        encode_states(model, xs[..., :2], seeds)
 
 
 def test_alternate_skips_observation_mean_where_data_is_used(tiny_model):

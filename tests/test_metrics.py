@@ -1,5 +1,7 @@
 """Metric implementations checked against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,55 @@ def test_sequence_mmd_flattens_and_separates():
 def test_marginal_mmd_runs_and_zero_on_self():
     A = np.random.default_rng(4).normal(size=(10, 3, 2))
     assert abs(marginal_mmd(A, A)) <= 1e-12
+
+
+def test_sequence_mmd_equals_oracles_bitwise():
+    # 517 rows of 100 values: the distance pass runs in many row blocks, the
+    # last one partial.
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(300, 50, 2))
+    B = rng.normal(loc=0.2, size=(217, 50, 2))
+    X, Y = A.reshape(300, -1), B.reshape(217, -1)
+    h = median_bandwidth(np.concatenate([X, Y]))
+    assert sequence_mmd(A, B) == mmd_rbf(X, Y, h)
+    assert sequence_mmd(A, B, h=0.7) == mmd_rbf(X, Y, 0.7)
+    assert sequence_mmd(A[:1], B[:1]) == mmd_rbf(X[:1], Y[:1], median_bandwidth(
+        np.concatenate([X[:1], Y[:1]])))
+
+
+def test_marginal_mmd_equals_per_timestep_oracle_loop_bitwise():
+    rng = np.random.default_rng(6)
+    A = rng.normal(size=(40, 7, 3))
+    B = rng.normal(loc=0.5, size=(23, 7, 3))
+    vals = []
+    for t in range(A.shape[1]):
+        h = median_bandwidth(np.concatenate([A[:, t], B[:, t]], axis=0))
+        vals.append(mmd_rbf(A[:, t], B[:, t], h))
+    assert marginal_mmd(A, B) == float(np.mean(vals))
+
+
+def test_sequence_mmd_rejects_bad_inputs():
+    A = np.ones((3, 4, 1))
+    with pytest.raises(ShapeError):
+        sequence_mmd(A, np.ones((3, 5, 1)))
+    with pytest.raises(ConfigError):
+        sequence_mmd(A, np.ones((0, 4, 1)))
+    with pytest.raises(ConfigError):
+        sequence_mmd(A, A, h=0.0)
+
+
+def test_sequence_mmd_memory_is_bounded_at_eval_size():
+    # the default evaluation size; an (N, M, T) difference tensor alone is 100 MB
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(500, 50, 1))
+    B = rng.normal(size=(500, 50, 1))
+    tracemalloc.start()
+    try:
+        sequence_mmd(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # --- CRPS ---------------------------------------------------------------------

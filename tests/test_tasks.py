@@ -152,6 +152,41 @@ def test_impute_many_samples_matches_reference_loop(per_channel):
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
+def _mask_stack(rates, n_series, T, d, per_channel):
+    """Masked series for every (rate, series) pair, each masked with its own seed."""
+    pairs = [apply_mar_mask(_series(T=T, d=d, seed=20 + i), rate, seed=30 + 10 * r + i,
+                            per_channel=per_channel)
+             for r, rate in enumerate(rates) for i in range(n_series)]
+    return [m for m, _ in pairs], [mask for _, mask in pairs]
+
+
+@pytest.mark.parametrize("n_samples", [1, 3])
+@pytest.mark.parametrize("per_channel", [False, True])
+@pytest.mark.parametrize("mean_propagation", [False, True])
+def test_impute_stack_matches_per_series_calls(n_samples, per_channel, mean_propagation):
+    model = make_model(d_x=3, d_z=2, T=8, seed=44)
+    masked, masks = _mask_stack([0.2, 0.5, 0.9], 3, 8, 3, per_channel)
+    seeds = list(range(100, 100 + len(masked)))
+    got = impute(model, np.stack(masked), MARMask.stack(masks), seeds,
+                 n_samples=n_samples, mean_propagation=mean_propagation)
+    want = np.stack([impute(model, m, mask, s, n_samples=n_samples,
+                            mean_propagation=mean_propagation)
+                     for m, mask, s in zip(masked, masks, seeds)])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    # a stack of one is the single-series call
+    one = impute(model, masked[4][None], MARMask.stack(masks[4:5]), seeds[4:5],
+                 n_samples=n_samples, mean_propagation=mean_propagation)
+    assert np.array_equal(one[0], want[4])
+
+
+def test_impute_stack_needs_one_seed_and_mask_per_series(tiny_model):
+    masked, masks = _mask_stack([0.5], 2, 4, 2, False)
+    with pytest.raises(ShapeError):
+        impute(tiny_model, np.stack(masked), MARMask.stack(masks), [1])
+    with pytest.raises(ShapeError):
+        impute(tiny_model, np.stack(masked), masks[0], [1, 2])
+
+
 def test_impute_dimension_mismatch(tiny_model):
     with pytest.raises(ShapeError):
         impute(tiny_model, np.zeros((4, 3)), MARMask(np.ones(4, bool), 0.0, 0), seed=0)
@@ -221,6 +256,37 @@ def test_forecast_matches_reference_loop():
             x = mean_x(model, zm, t).data + s.sigma_x * rng.standard_normal(model.d_x)
             zm = mean_z(model, zm, x, t).data + s.sigma_z * rng.standard_normal(model.d_z)
             np.testing.assert_allclose(ens.members[m, h], x, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("explicit_member_seeds", [False, True])
+def test_forecast_stack_matches_per_series_calls(explicit_member_seeds):
+    model = make_model(d_x=2, d_z=3, T=10, seed=45)
+    contexts = np.stack([_series(T=4, d=2, seed=40 + i) for i in range(3)])
+    seeds = [7, 8, 9]
+    member_seeds = [[50 + 4 * i + k for k in range(4)] for i in range(3)]
+    def members(rows):
+        return {"member_seeds": rows} if explicit_member_seeds else {"members": 4}
+
+    got = forecast_ensemble(model, contexts, horizon=5, seed=seeds, **members(member_seeds))
+    want = [forecast_ensemble(model, c, horizon=5, seed=s, **members(ms))
+            for c, s, ms in zip(contexts, seeds, member_seeds)]
+    assert got.members.shape == (3, 4, 5, 2)
+    assert got.conditioning_length == 4
+    np.testing.assert_allclose(got.members, np.stack([w.members for w in want]),
+                               rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(got.mean, np.stack([w.mean for w in want]),
+                               rtol=1e-12, atol=1e-15)
+    one = forecast_ensemble(model, contexts[1:2], horizon=5, seed=seeds[1:2],
+                            **members(member_seeds[1:2]))
+    assert np.array_equal(one.members[0], want[1].members)
+
+
+def test_forecast_stack_rejects_ragged_member_seeds():
+    model = make_model(T=10)
+    contexts = np.stack([_series(T=3, d=2), _series(T=3, d=2, seed=1)])
+    for member_seeds in ([[1, 2], [3]], [[1, 2]]):
+        with pytest.raises(ConfigError):
+            forecast_ensemble(model, contexts, horizon=2, seed=[0, 1], member_seeds=member_seeds)
 
 
 def test_forecast_rejects_empty_member_list():
