@@ -24,7 +24,6 @@ from .core import (
     mean_x,
     mean_z,
     save_model,
-    validate_schedule,
     vanilla_schedule,
 )
 from .data import (

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import sys
@@ -61,18 +62,9 @@ DEFAULTS: dict = {
         "dynamics": "noise_models",
         "init_seed": 0,
     },
-    "train": {
-        "epochs": 1000,
-        "batch_size": 100,
-        "noise_weight": 0.1,
-        "lr_max": 1e-3,
-        "lr_min": 1e-5,
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.999,
-        "adam_eps": 1e-8,
-        "noise_target_mode": "trajectory",
-        "free_running": False,
-    },
+    # The TrainConfig defaults; its seed is the run's top-level seed.
+    "train": {f.name: f.default for f in dataclasses.fields(training.TrainConfig)
+              if f.name != "seed"},
     "generate": {"n_samples": 100, "horizon": None},
     "encode": {"mean_propagation": False},
     "impute": {
@@ -247,16 +239,19 @@ def resolve_dataset(cfg: dict) -> data.SeriesDataset:
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     if d["normalize"]:
-        if d["norm_min"] is not None and d["norm_max"] is not None:
+        if d["norm_min"] is None and d["norm_max"] is None:
+            ds = data.normalize_minmax(ds)
+            d["norm_min"] = [float(v) for v in ds.norm[0]]
+            d["norm_max"] = [float(v) for v in ds.norm[1]]
+        else:
             for key in ("norm_min", "norm_max"):
+                if d[key] is None:
+                    raise ConfigError(f"config key 'dataset.{key}' must be set when the other "
+                                      f"half of the norm record is")
                 if len(d[key]) != ds.n_channels:
                     raise ConfigError(f"config key 'dataset.{key}' must list one value per "
                                       f"channel ({ds.n_channels}), got {len(d[key])}")
             ds = data.apply_norm(ds, (np.asarray(d["norm_min"]), np.asarray(d["norm_max"])))
-        else:
-            ds = data.normalize_minmax(ds)
-            d["norm_min"] = [float(v) for v in ds.norm[0]]
-            d["norm_max"] = [float(v) for v in ds.norm[1]]
     return ds
 
 

@@ -20,9 +20,10 @@ computed as ``(1 - sigma^2) - beta_t`` so the cancellation is bitwise exact
 from __future__ import annotations
 
 import io
+import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ from .networks import (
     Network,
     NetworkSpec,
     ParameterSet,
-    init_parameters,
+    parameter_shapes,
 )
 
 NOISE_MODEL_DYNAMICS = "noise_models"
@@ -46,14 +47,16 @@ VANILLA_DYNAMICS = "vanilla"
 _NET_ORDER = ("obs_net", "lat_net", "obs_noise_net", "lat_noise_net")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-timestep coefficients plus base noise scales.
+    """Per-timestep coefficients plus base noise scales, checked at construction.
 
     Admissible iff 0 <= beta_t <= 1 - sigma_x^2 and 0 <= alpha_t <= 1 -
     sigma_z^2 for every t (so every square root in the sampling rules is
     real), with both sigmas in (0, 1). The upper boundary is admitted: there
-    the noise-model coefficient is exactly zero.
+    the noise-model coefficient is exactly zero. An inadmissible schedule
+    raises ConfigError; ``beta`` and ``alpha`` are read-only copies, so an
+    admissible one stays admissible.
     """
 
     beta: np.ndarray
@@ -63,10 +66,19 @@ class NoiseSchedule:
 
     def __post_init__(self):
         _check_sigmas(self.sigma_x, self.sigma_z)
-        self.beta = np.asarray(self.beta, dtype=np.float64)
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
+        for name in ("beta", "alpha"):
+            coefs = np.array(getattr(self, name), dtype=np.float64)
+            coefs.flags.writeable = False
+            object.__setattr__(self, name, coefs)
         if self.beta.shape != self.alpha.shape or self.beta.ndim != 1:
             raise ConfigError("beta and alpha must be 1-D and of equal length")
+        for name, coefs, limit in (("beta", self.beta, self.beta_limit),
+                                   ("alpha", self.alpha, self.alpha_limit)):
+            bad = np.flatnonzero(~((0.0 <= coefs) & (coefs <= limit)))  # NaN fails too
+            if bad.size:
+                i = bad[0]
+                raise ConfigError(f"schedule out of bounds: {name} at t={i + 1} is "
+                                  f"{coefs[i]}, outside [0, {limit}]")
 
     @property
     def T(self) -> int:
@@ -82,38 +94,19 @@ class NoiseSchedule:
 
     def coef_x(self, t: "int | np.ndarray"):
         """(sqrt(beta_t), sqrt(1 - beta_t - sigma_x^2)) for 1-based t, an int or an int array."""
-        return _coef_pair(self.beta, self.beta_limit, t, "beta")
+        c = self.beta[t - 1]
+        return np.sqrt(c), np.sqrt(self.beta_limit - c)
 
     def coef_z(self, t: "int | np.ndarray"):
         """(sqrt(alpha_t), sqrt(1 - alpha_t - sigma_z^2)) for 1-based t; see coef_x."""
-        return _coef_pair(self.alpha, self.alpha_limit, t, "alpha")
-
-
-def _coef_pair(coefs: np.ndarray, limit: float, t: "int | np.ndarray", name: str):
-    """(sqrt(c_t), sqrt(limit - c_t)), rejecting c_t outside [0, limit] (NaN included)."""
-    if not isinstance(t, np.ndarray):
-        c = float(coefs[t - 1])
-        if not 0.0 <= c <= limit:
-            raise ConfigError(f"schedule violates {name} bounds at t={t}: {name}={c}")
-        return np.sqrt(c), np.sqrt(limit - c)
-    c = coefs[t - 1]
-    bad = np.flatnonzero(~((0.0 <= c) & (c <= limit)))
-    if bad.size:
-        i = bad[0]
-        raise ConfigError(f"schedule violates {name} bounds at t={t[i]}: {name}={c[i]}")
-    return np.sqrt(c), np.sqrt(limit - c)
+        c = self.alpha[t - 1]
+        return np.sqrt(c), np.sqrt(self.alpha_limit - c)
 
 
 def _check_sigmas(sigma_x: float, sigma_z: float) -> None:
     for name, value in (("sigma_x", sigma_x), ("sigma_z", sigma_z)):
         if not 0.0 < value < 1.0:
             raise ConfigError(f"{name} must lie in (0, 1), got {value}")
-
-
-@dataclass
-class ScheduleReport:
-    ok: bool
-    violations: list[tuple[int, str]] = field(default_factory=list)
 
 
 def linear_schedule(T: int, lo: float, hi: float) -> np.ndarray:
@@ -158,26 +151,6 @@ def vanilla_schedule(T: int, sigma_x: float, sigma_z: float) -> NoiseSchedule:
     beta = np.full(T, 1.0 - sigma_x**2)
     alpha = np.full(T, 1.0 - sigma_z**2)
     return NoiseSchedule(beta=beta, alpha=alpha, sigma_x=sigma_x, sigma_z=sigma_z)
-
-
-def validate_schedule(s: NoiseSchedule) -> ScheduleReport:
-    """Check every admissibility bound; violations are returned, not raised.
-
-    Schedule-level problems (sigma out of range) are reported with t=0.
-    """
-    violations: list[tuple[int, str]] = []
-    if not (0.0 < s.sigma_x and s.sigma_x**2 < 1.0):
-        violations.append((0, "sigma_x"))
-    if not (0.0 < s.sigma_z and s.sigma_z**2 < 1.0):
-        violations.append((0, "sigma_z"))
-    for t in range(1, s.T + 1):
-        b = s.beta[t - 1]
-        a = s.alpha[t - 1]
-        if not 0.0 <= b <= s.beta_limit:
-            violations.append((t, "beta"))
-        if not 0.0 <= a <= s.alpha_limit:
-            violations.append((t, "alpha"))
-    return ScheduleReport(ok=not violations, violations=violations)
 
 
 @dataclass
@@ -601,24 +574,27 @@ def _unpack_network(r: _Reader) -> Network:
         input_dim=in_dim, output_dim=out_dim, hidden_dim=hidden, depth=depth,
         kind=_KIND_NAME[kind_code], activation=_ACT_NAME[act_code],
     )
+    layout = parameter_shapes(spec)
     (n_params,) = r.unpack("<I")
     params = ParameterSet()
     for _ in range(n_params):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        raw = r.take(name_len)
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("checkpoint parameter name is not UTF-8") from None
         (ndim,) = r.unpack("<B")
         shape = tuple(r.unpack("<I")[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(r.take(8 * count), dtype=np.float64).reshape(shape)
+        if (name, shape) != next(layout, None):  # before the array is read
+            raise CheckpointError(f"checkpoint parameter {name} {shape} does not match "
+                                  "its network spec")
+        arr = np.frombuffer(r.take(8 * math.prod(shape)), dtype=np.float64).reshape(shape)
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"checkpoint parameter {name} has non-finite values")
         params.add(name, arr)
-    reference = init_parameters(spec, 0)
-    if params.names() != reference.names():
-        raise CheckpointError("checkpoint parameter layout does not match its network spec")
-    for name in reference.names():
-        if params[name].data.shape != reference[name].data.shape:
-            raise CheckpointError(f"checkpoint parameter {name} has an inconsistent shape")
+    if next(layout, None) is not None:
+        raise CheckpointError("checkpoint has fewer parameters than its network spec")
     return Network(spec=spec, params=params)
 
 
@@ -637,17 +613,13 @@ def load_model(path) -> AlternatorModel:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     if dyn_code not in _DYN_NAME:
         raise CheckpointError("checkpoint contains unknown dynamics flag")
-    beta = np.frombuffer(r.take(8 * T), dtype=np.float64).copy()
-    alpha = np.frombuffer(r.take(8 * T), dtype=np.float64).copy()
-    nets = {name: _unpack_network(r) for name in _NET_ORDER}
-    if r.pos != len(payload):
-        raise CheckpointError("checkpoint has trailing bytes")
+    beta = np.frombuffer(r.take(8 * T), dtype=np.float64)
+    alpha = np.frombuffer(r.take(8 * T), dtype=np.float64)
     try:
+        nets = {name: _unpack_network(r) for name in _NET_ORDER}
+        if r.pos != len(payload):
+            raise CheckpointError("checkpoint has trailing bytes")
         schedule = NoiseSchedule(beta=beta, alpha=alpha, sigma_x=sigma_x, sigma_z=sigma_z)
-        violations = validate_schedule(schedule).violations
-        if violations:
-            t, name = violations[0]
-            raise CheckpointError(f"checkpoint schedule out of bounds: {name} at t={t}")
         return AlternatorModel(
             d_x=d_x, d_z=d_z, schedule=schedule, dynamics=_DYN_NAME[dyn_code], **nets
         )

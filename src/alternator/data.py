@@ -19,15 +19,13 @@ CSV_TIME_COLUMN = "t"
 
 @dataclass
 class SeriesDataset:
-    """A batch of equal-length sequences with optional mask and norm record.
+    """A batch of equal-length sequences with an optional norm record.
 
-    ``data`` has shape (N, T, d_x). ``mask`` (when present) is a boolean
-    observed-indicator of shape (N, T) or (N, T, d_x). ``norm`` stores the
-    per-channel (min, max) used by :func:`normalize_minmax`.
+    ``data`` has shape (N, T, d_x). ``norm`` stores the per-channel
+    (min, max) used by :func:`normalize_minmax`.
     """
 
     data: np.ndarray
-    mask: "np.ndarray | None" = None
     norm: "tuple[np.ndarray, np.ndarray] | None" = None
     name: str = "dataset"
 
@@ -35,8 +33,6 @@ class SeriesDataset:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 3:
             raise DataError(f"dataset must be (N, T, d_x), got shape {self.data.shape}")
-        if self.mask is not None and self.mask.shape[:2] != self.data.shape[:2]:
-            raise DataError("mask shape does not match data")
 
     @property
     def n_series(self) -> int:
@@ -220,8 +216,5 @@ def split_dataset(
     n_train = N - n_val - n_test
     perm = np.random.default_rng(seed).permutation(N)
     parts = (perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:])
-    out = []
-    for label, idx in zip(("train", "val", "test"), parts):
-        mask = ds.mask[idx] if ds.mask is not None else None
-        out.append(replace(ds, data=ds.data[idx], mask=mask, name=f"{ds.name}/{label}"))
-    return tuple(out)
+    return tuple(replace(ds, data=ds.data[idx], name=f"{ds.name}/{label}")
+                 for label, idx in zip(("train", "val", "test"), parts))

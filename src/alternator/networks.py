@@ -19,11 +19,12 @@ only lat_noise_net runs once per step (see :func:`alternator.training.rollout`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _as_tensor
 from .errors import ConfigError, ShapeError
 
 MLP = "mlp"
@@ -83,34 +84,37 @@ class ParameterSet:
         return self._params.items()
 
 
+def parameter_shapes(spec: NetworkSpec) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each parameter of ``spec``, in initialization order.
+
+    Weights are 2-D (fan_in, fan_out) and biases 1-D. The pairs are made one
+    at a time and allocate nothing, so a checkpoint can be checked against
+    them as it is read, whatever sizes its header claims.
+    """
+    h = spec.hidden_dim
+    if spec.kind == MLP:
+        for i in range(spec.depth):
+            yield f"layer{i}.weight", (spec.input_dim if i == 0 else h, h)
+            yield f"layer{i}.bias", (h,)
+    else:
+        yield "embed.weight", (1, h)
+        yield "embed.bias", (h,)
+        for i in range(spec.depth):
+            for w in ("wq", "wk", "wv"):
+                yield f"attn{i}.{w}", (h, h)
+    yield "out.weight", (h, spec.output_dim)
+    yield "out.bias", (spec.output_dim,)
+
+
 def init_parameters(spec: NetworkSpec, seed: int) -> ParameterSet:
-    """Fan-in initialization: weights ~ N(0, 1/in_dim), biases zero."""
+    """Fan-in initialization: weights ~ N(0, 1/fan_in), biases zero."""
     rng = np.random.default_rng(seed)
     params = ParameterSet()
-
-    def w(name, fan_in, fan_out):
-        params.add(name, rng.normal(0.0, np.sqrt(1.0 / fan_in), size=(fan_in, fan_out)))
-
-    def b(name, dim):
-        params.add(name, np.zeros(dim))
-
-    if spec.kind == MLP:
-        in_dim = spec.input_dim
-        for i in range(spec.depth):
-            w(f"layer{i}.weight", in_dim, spec.hidden_dim)
-            b(f"layer{i}.bias", spec.hidden_dim)
-            in_dim = spec.hidden_dim
-        w("out.weight", in_dim, spec.output_dim)
-        b("out.bias", spec.output_dim)
-    else:
-        w("embed.weight", 1, spec.hidden_dim)
-        b("embed.bias", spec.hidden_dim)
-        for i in range(spec.depth):
-            w(f"attn{i}.wq", spec.hidden_dim, spec.hidden_dim)
-            w(f"attn{i}.wk", spec.hidden_dim, spec.hidden_dim)
-            w(f"attn{i}.wv", spec.hidden_dim, spec.hidden_dim)
-        w("out.weight", spec.hidden_dim, spec.output_dim)
-        b("out.bias", spec.output_dim)
+    for name, shape in parameter_shapes(spec):
+        if len(shape) == 2:
+            params.add(name, rng.normal(0.0, np.sqrt(1.0 / shape[0]), size=shape))
+        else:
+            params.add(name, np.zeros(shape))
     return params
 
 
@@ -211,6 +215,4 @@ class Network:
         return cls(spec=spec, params=init_parameters(spec, seed))
 
     def __call__(self, x) -> Tensor:
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
-        return network_forward(self.spec, self.params, x)
+        return network_forward(self.spec, self.params, _as_tensor(x))

@@ -47,7 +47,7 @@ LITERAL = "literal"
 class TrainConfig:
     """Hyperparameters for one training run."""
 
-    epochs: int = 100
+    epochs: int = 1000
     batch_size: int = 100
     noise_weight: float = 0.1      # lambda on the noise-matching loss
     lr_max: float = 1e-3
@@ -196,8 +196,6 @@ def rollout(
 def alternator_loss(model: AlternatorModel, r: Rollout) -> tuple[Tensor, Tensor]:
     """(latent term, weighted observation term), each averaged over the batch."""
     s = model.schedule
-    if s.sigma_x <= 0.0:
-        raise ConfigError("sigma_x must be positive for the observation weight")
     w = (model.d_z * s.sigma_z**2) / (model.d_x * s.sigma_x**2)
     B = r.z.shape[0]
     z_sum = ad.total_sum(ad.square(ad.sub(r.z, r.mu_z)))

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from conftest import make_model
 
 import alternator
-from alternator import cli, core, data
+from alternator import cli, core, data, training
 from alternator.core import load_model, spawn_seed
 from alternator.data import load_csv
 from alternator.errors import ShapeError
@@ -116,6 +117,22 @@ def test_resolved_types_follow_defaults(tmp_path):
     p.write_text(json.dumps({"train": {"epoch": 5}}), encoding="utf-8")
     with pytest.raises(ConfigError, match="train.epoch"):
         _resolve(config=str(p))
+
+
+_TRAIN_DEFAULTS = {
+    "epochs": 1000, "batch_size": 100, "noise_weight": 0.1, "lr_max": 1e-3, "lr_min": 1e-5,
+    "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8,
+    "noise_target_mode": "trajectory", "free_running": False,
+}
+
+
+def test_train_defaults_are_pinned_and_shared_with_train_config():
+    # compared as JSON, so the resolved config.json keeps its bytes
+    pinned = json.dumps(_TRAIN_DEFAULTS, sort_keys=True)
+    assert json.dumps(_resolve()["train"], sort_keys=True) == pinned
+    fields = dataclasses.asdict(training.TrainConfig())
+    assert fields.pop("seed") == 0
+    assert json.dumps(fields, sort_keys=True) == pinned
 
 
 def test_sigma_out_of_range_is_config_error(tmp_path, capsys):
@@ -236,6 +253,10 @@ def test_forecast_horizon_too_long_is_config_error(tiny_cfg, trained_run, tmp_pa
     ("impute", ["--set", "dataset.t=9"]),        # longer than the checkpoint's schedule
     ("encode", ["--set", "dataset.t=9"]),
     ("eval-density", ["--set", "dataset.t=9"]),
+    ("train", ["--set", "model.beta_span=[0.1, 1.5]"]),
+    ("train", ["--set", "model.alpha_span=[0.1, 1.5]"]),
+    ("train", ["--set", "dataset.normalize=true", "--set", "dataset.norm_min=[-5.0]"]),
+    ("impute", ["--set", "dataset.normalize=true", "--set", "dataset.norm_max=[5.0]"]),
 ])
 def test_rejected_run_writes_nothing(tiny_cfg, trained_run, tmp_path, task, extra):
     out = tmp_path / "rejected"
@@ -373,6 +394,13 @@ _TINY_TRAIN = ["--set", "dataset.kind=bimodal", "--set", "dataset.n=4", "--set",
     ("impute", ["--set", "impute.n_samples=0"], cli.EXIT_CONFIG, "'impute.n_samples'"),
     ("impute", ["--set", "impute.rates=[0.5, 1.5]"], cli.EXIT_CONFIG, "'impute.rates'"),
     ("forecast", ["--set", "forecast.members=0"], cli.EXIT_CONFIG, "'forecast.members'"),
+    # half a norm record names the missing half
+    ("train", ["--set", "dataset.normalize=true", "--set", "dataset.norm_min=[-5.0]"],
+     cli.EXIT_CONFIG, "'dataset.norm_max'"),
+    ("train", ["--set", "dataset.normalize=true", "--set", "dataset.norm_max=[5.0]"],
+     cli.EXIT_CONFIG, "'dataset.norm_min'"),
+    ("forecast", ["--set", "dataset.normalize=true", "--set", "dataset.norm_min=[-5.0]"],
+     cli.EXIT_CONFIG, "'dataset.norm_max'"),
 ])
 def test_config_values_never_end_in_traceback(tiny_cfg, trained_run, tmp_path, task, extra,
                                               code, named):

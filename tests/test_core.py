@@ -1,6 +1,8 @@
 """Schedules, the generative process, encoding, and checkpoint round trips."""
 
+import dataclasses
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -20,7 +22,6 @@ from alternator.core import (
     mean_x,
     mean_z,
     save_model,
-    validate_schedule,
     vanilla_schedule,
 )
 from alternator.autodiff import Tensor
@@ -48,35 +49,41 @@ def test_linear_schedule_rejects_reversed_endpoints():
 
 
 def test_validate_schedule_beta_over_budget():
-    s = NoiseSchedule(beta=np.array([0.5]), alpha=np.array([0.1]), sigma_x=0.8, sigma_z=0.1)
-    report = validate_schedule(s)
-    assert not report.ok
-    assert (1, "beta") in report.violations
+    with pytest.raises(ConfigError, match=r"schedule out of bounds: beta at t=1 is 0.5"):
+        NoiseSchedule(beta=np.array([0.5]), alpha=np.array([0.1]), sigma_x=0.8, sigma_z=0.1)
 
 
 def test_validate_schedule_boundary_admitted():
     sx = 0.3
     s = NoiseSchedule(beta=np.array([1.0 - sx**2]), alpha=np.array([0.5]),
                       sigma_x=sx, sigma_z=0.1)
-    assert validate_schedule(s).ok
+    assert s.coef_x(1)[1] == 0.0
 
 
 def test_validate_schedule_negative_alpha():
-    s = NoiseSchedule(beta=np.array([0.1]), alpha=np.array([-0.1]), sigma_x=0.3, sigma_z=0.1)
-    report = validate_schedule(s)
-    assert (1, "alpha") in report.violations
+    with pytest.raises(ConfigError, match=r"schedule out of bounds: alpha at t=2 is -0.1"):
+        NoiseSchedule(beta=np.array([0.1, 0.1]), alpha=np.array([0.2, -0.1]),
+                      sigma_x=0.3, sigma_z=0.1)
 
 
 def test_validate_schedule_reports_nan_coefficients():
-    s = NoiseSchedule(beta=np.array([0.1, np.nan]), alpha=np.array([np.nan, 0.1]),
+    with pytest.raises(ConfigError, match=r"schedule out of bounds: beta at t=2 is nan"):
+        NoiseSchedule(beta=np.array([0.1, np.nan]), alpha=np.array([0.1, 0.1]),
                       sigma_x=0.3, sigma_z=0.1)
-    assert validate_schedule(s).violations == [(1, "alpha"), (2, "beta")]
-    with pytest.raises(ConfigError, match="beta"):
-        s.coef_x(2)
-    with pytest.raises(ConfigError, match="alpha"):
-        s.coef_z(1)
-    with pytest.raises(ConfigError, match="t=2: beta=nan"):
-        s.coef_x(np.array([1, 1, 2]))
+    with pytest.raises(ConfigError, match=r"schedule out of bounds: alpha at t=1 is nan"):
+        NoiseSchedule(beta=np.array([0.1, 0.1]), alpha=np.array([np.nan, 0.1]),
+                      sigma_x=0.3, sigma_z=0.1)
+
+
+def test_schedule_is_immutable_and_copies_its_input():
+    beta = np.array([0.1, 0.2])
+    s = NoiseSchedule(beta=beta, alpha=np.array([0.1, 0.2]), sigma_x=0.3, sigma_z=0.1)
+    with pytest.raises(ValueError, match="read-only"):
+        s.beta[0] = 0.95
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.sigma_x = 0.99
+    beta[0] = 0.95                          # the caller's array stays writable
+    assert s.beta[0] == 0.1
 
 
 def test_coefficients_of_a_step_vector_equal_the_per_step_ones():
@@ -95,12 +102,11 @@ def test_vanilla_schedule_values_and_zero_coefficient():
     for t in range(1, 4):
         assert s.coef_x(t)[1] == 0.0      # exactly zero, not approximately
         assert s.coef_z(t)[1] == 0.0
-    assert validate_schedule(s).ok
 
 
 def test_default_schedule_is_valid_and_hits_boundary():
     s = __import__("alternator").default_schedule(5, 0.3, 0.15)
-    assert validate_schedule(s).ok
+    assert s.beta[-1] == s.beta_limit and s.alpha[-1] == s.alpha_limit
     assert s.coef_x(5)[1] == 0.0          # final step degenerates exactly
 
 
@@ -112,8 +118,8 @@ def test_constructed_schedules_always_validate():
         T = int(rng.integers(1, 12))
         lo = rng.uniform(0.0, 1.0)
         hi = rng.uniform(lo, 1.0)
-        assert validate_schedule(vanilla_schedule(T, sx, sz)).ok
-        assert validate_schedule(default_schedule(T, sx, sz, (lo, hi), (lo, hi))).ok
+        vanilla_schedule(T, sx, sz)        # construction checks every bound
+        default_schedule(T, sx, sz, (lo, hi), (lo, hi))
 
 
 # --- means and sampling -------------------------------------------------------
@@ -173,11 +179,11 @@ def test_mean_z_zero_networks_gives_zero():
 
 
 def test_mean_ops_reject_invalid_schedule():
-    sched = NoiseSchedule(beta=np.array([0.95]), alpha=np.array([0.5]),
-                          sigma_x=0.3, sigma_z=0.15)  # 0.95 > 1 - 0.09
-    model = make_model(T=1, schedule=sched)
-    with pytest.raises(ConfigError):
-        mean_x(model, np.zeros(2), t=1)
+    with pytest.raises(ConfigError, match="schedule out of bounds"):  # 0.95 > 1 - 0.09
+        NoiseSchedule(beta=np.array([0.95]), alpha=np.array([0.5]), sigma_x=0.3, sigma_z=0.15)
+    model = make_model(T=1)
+    with pytest.raises(ValueError, match="read-only"):
+        model.schedule.beta[0] = 0.95       # nor can a model's schedule be made inadmissible
 
 
 def test_vanilla_dynamics_interpolates_previous_latent():
@@ -419,6 +425,18 @@ def test_encode_mean_propagation_deterministic_without_seed_effect(tiny_model):
 
 # --- checkpoints ---------------------------------------------------------
 
+# payload header: version, d_x, d_z, T (u32), dynamics (u8), sigma_x, sigma_z (f64)
+_SIGMA_X_AT, _BETA_AT = 17, 33
+
+
+def _patch_checkpoint(path, offset, raw):
+    """Overwrite payload bytes at ``offset`` and recompute the CRC, so the file passes it."""
+    blob = path.read_bytes()
+    payload = bytearray(blob[8:-4])
+    payload[offset:offset + len(raw)] = raw
+    path.write_bytes(blob[:8] + bytes(payload) + struct.pack("<I", zlib.crc32(bytes(payload))))
+
+
 def test_checkpoint_round_trip_bitwise(tmp_path, tiny_model):
     path = tmp_path / "model.alt"
     save_model(tiny_model, path)
@@ -463,13 +481,7 @@ def test_checkpoint_corrupted_payload(tmp_path, tiny_model):
 def test_checkpoint_header_dim_mismatch(tmp_path, tiny_model):
     path = tmp_path / "model.alt"
     save_model(tiny_model, path)
-    blob = bytearray(path.read_bytes())
-    magic_len = 8
-    payload = blob[magic_len:-4]
-    # header layout: version u32, d_x u32, ...; corrupt d_x and re-sign
-    payload[4:8] = struct.pack("<I", tiny_model.d_x + 1)
-    fixed = bytes(blob[:magic_len]) + bytes(payload) + struct.pack("<I", zlib.crc32(bytes(payload)))
-    path.write_bytes(fixed)
+    _patch_checkpoint(path, 4, struct.pack("<I", tiny_model.d_x + 1))
     with pytest.raises(CheckpointError):
         load_model(path)
 
@@ -477,11 +489,7 @@ def test_checkpoint_header_dim_mismatch(tmp_path, tiny_model):
 def test_checkpoint_with_inadmissible_sigma_is_checkpoint_error(tmp_path, tiny_model):
     path = tmp_path / "model.alt"
     save_model(tiny_model, path)
-    blob = path.read_bytes()
-    payload = bytearray(blob[8:-4])
-    # header: version, d_x, d_z, T (u32), dynamics (u8), then sigma_x (f64)
-    payload[17:25] = struct.pack("<d", 1.5)
-    path.write_bytes(blob[:8] + bytes(payload) + struct.pack("<I", zlib.crc32(bytes(payload))))
+    _patch_checkpoint(path, _SIGMA_X_AT, struct.pack("<d", 1.5))
     with pytest.raises(CheckpointError, match="sigma_x"):
         load_model(path)
 
@@ -497,10 +505,42 @@ def test_checkpoint_with_non_finite_weight_is_checkpoint_error(tmp_path, tiny_mo
 
 def test_checkpoint_with_beta_over_bound_is_checkpoint_error(tmp_path, tiny_model):
     path = tmp_path / "model.alt"
-    tiny_model.schedule.beta[1] = tiny_model.schedule.beta_limit + 1e-9
     save_model(tiny_model, path)
-    with pytest.raises(CheckpointError, match="schedule out of bounds"):
+    _patch_checkpoint(path, _BETA_AT + 8, struct.pack("<d", tiny_model.schedule.beta_limit + 1e-9))
+    with pytest.raises(CheckpointError, match="schedule out of bounds: beta at t=2"):
         load_model(path)
+
+
+def test_checkpoint_with_non_utf8_parameter_name_is_checkpoint_error(tmp_path, tiny_model):
+    path = tmp_path / "model.alt"
+    save_model(tiny_model, path)
+    at = path.read_bytes()[8:-4].index(b"layer0.weight")
+    _patch_checkpoint(path, at, b"\xff")
+    with pytest.raises(CheckpointError, match="not UTF-8"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field, offset, value, match", [
+    ("hidden_dim", 9, 2**20, "does not match its network spec"),
+    ("hidden_dim", 9, 2**32 - 1, "does not match its network spec"),
+    ("depth", 13, 2**32 - 1, "does not match its network spec"),
+    ("depth", 13, 0, "network depth must be >= 1"),
+])
+def test_checkpoint_with_patched_network_header_allocates_nothing(tmp_path, tiny_model,
+                                                                  field, offset, value, match):
+    # network header: kind (u8), input_dim, output_dim, hidden_dim, depth (u32), activation (u8)
+    path = tmp_path / "model.alt"
+    save_model(tiny_model, path)
+    first_net = _BETA_AT + 16 * tiny_model.schedule.T
+    _patch_checkpoint(path, first_net + offset, struct.pack("<I", value))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=match):
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"{field}={value}: {peak} bytes"
 
 
 def test_schedule_rejects_sigma_outside_unit_interval():
@@ -514,12 +554,7 @@ def test_schedule_rejects_sigma_outside_unit_interval():
 def test_checkpoint_version_mismatch(tmp_path, tiny_model):
     path = tmp_path / "model.alt"
     save_model(tiny_model, path)
-    blob = bytearray(path.read_bytes())
-    magic_len = 8
-    payload = blob[magic_len:-4]
-    payload[0:4] = struct.pack("<I", 99)  # future format version
-    fixed = bytes(blob[:magic_len]) + bytes(payload) + struct.pack("<I", zlib.crc32(bytes(payload)))
-    path.write_bytes(fixed)
+    _patch_checkpoint(path, 0, struct.pack("<I", 99))  # future format version
     with pytest.raises(CheckpointError, match="version"):
         load_model(path)
 
