@@ -1,9 +1,16 @@
-"""Dataset ingestion, normalization, synthetic generators, splits, and atomic file writes."""
+"""Dataset ingestion, normalization, synthetic generators, splits, and atomic file writes.
+
+The long CSV format (``series_id,t,v1..vD``) is read in one streaming pass
+that keeps only each row's series index and float cells; the checks, the
+(series, t) sort and the reshape are numpy. It is written one series at a
+time, in the bytes ``csv.writer`` would give row by row.
+"""
 
 from __future__ import annotations
 
 import csv
-import math
+import io
+import itertools
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -11,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 
 CSV_ID_COLUMN = "series_id"
 CSV_TIME_COLUMN = "t"
@@ -52,9 +59,18 @@ def load_csv(path) -> SeriesDataset:
 
     Rows are grouped by series id (first-appearance order) and sorted by t
     within each series; all series must share one length and channel count.
-    Non-finite cells and repeated (series_id, t) pairs are rejected.
+    Non-finite cells and repeated (series_id, t) pairs are rejected. An
+    error names the first row, in file order, that has one of the row
+    defects (width, non-numeric, non-finite, repeated t).
+
+    One streaming ``csv.reader`` pass keeps only each row's series index
+    and its float cells; the checks, the sort and the reshape are numpy.
     """
-    groups: dict[str, dict[float, list[float]]] = {}
+    index: dict[str, int] = {}   # series id -> first-appearance index
+    groups: list[int] = []       # one series index per data row
+    cells: list[float] = []      # t, v1..vD of each data row, row after row
+    blanks: list[int] = []       # data rows read before each blank line
+    error = None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -65,35 +81,66 @@ def load_csv(path) -> SeriesDataset:
             raise DataError(
                 f"{path}: expected header starting 'series_id,t,' with at least one channel"
             )
-        n_channels = len(header) - 2
+        width = len(header)
         for row_no, row in enumerate(reader, start=2):
             if not row:
+                blanks.append(len(groups))
                 continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}")
-            sid = row[0]
+            if len(row) != width:
+                error = f"row {row_no} has {len(row)} fields, expected {width}"
+                break
             try:
-                t = float(row[1])
-                values = [float(v) for v in row[2:]]
+                cells.extend(map(float, row[1:]))
             except ValueError as exc:
-                raise DataError(f"{path}: row {row_no}: non-numeric cell ({exc})") from None
-            if not all(math.isfinite(v) for v in (t, *values)):
-                raise DataError(f"{path}: row {row_no}: non-finite cell")
-            rows = groups.setdefault(sid, {})
-            if t in rows:
-                raise DataError(f"{path}: row {row_no}: repeats t={row[1]} of series {sid!r}")
-            rows[t] = values
+                del cells[len(groups) * (width - 1):]
+                error = f"row {row_no}: non-numeric cell ({exc})"
+                break
+            groups.append(index.setdefault(row[0], len(index)))
+    table = np.array(cells, dtype=np.float64).reshape(len(groups), width - 1)
+    del cells   # freed before the sorted copy below
+    group = np.array(groups, dtype=np.intp)
+    order = np.lexsort((table[:, 0], group))
+    # The rows before a stream error were read whole; a defect among them
+    # comes first in the file, so it is reported first.
+    _check_rows(path, table, group, order, blanks, index)
+    if error is not None:
+        raise DataError(f"{path}: {error}")
     if not groups:
         raise DataError(f"{path}: no data rows")
-    lengths = {sid: len(rows) for sid, rows in groups.items()}
-    T = next(iter(lengths.values()))
-    for sid, n in lengths.items():
-        if n != T:
-            raise DataError(f"{path}: series {sid!r} has length {n}, expected {T}")
-    data = np.empty((len(groups), T, n_channels))
-    for i, rows in enumerate(groups.values()):
-        data[i] = [rows[t] for t in sorted(rows)]
+    lengths = np.bincount(group)
+    T = int(lengths[0])
+    ragged = np.flatnonzero(lengths != T)
+    if ragged.size:
+        sid = list(index)[ragged[0]]
+        raise DataError(f"{path}: series {sid!r} has length {lengths[ragged[0]]}, expected {T}")
+    data = table[order, 1:].reshape(len(index), T, width - 2)
     return SeriesDataset(data=data, name=str(path))
+
+
+def _check_rows(path, table, group, order, blanks, index) -> None:
+    """Raise on the first non-finite row or repeated (series, t) row, in file order.
+
+    ``order`` sorts the rows by (series, t) stably, so within a run of equal
+    keys every row after the first repeats an earlier one. A non-finite row
+    is reported before a repeat found at the same or a later row, as a
+    row-by-row reader would.
+    """
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    first_bad = int(bad[0]) if bad.size else len(table)
+    sorted_group, sorted_t = group[order], table[order, 0]
+    repeats = order[1:][(sorted_group[1:] == sorted_group[:-1]) & (sorted_t[1:] == sorted_t[:-1])]
+    first_repeat = int(repeats.min()) if repeats.size else len(table)
+    k = min(first_bad, first_repeat)
+    if k == len(table):
+        return
+    # data row k sits after k + 1 earlier records (the header and data rows)
+    # and after the blank lines read before it
+    row_no = k + 2 + int(np.searchsorted(blanks, k, side="right"))
+    if first_bad <= first_repeat:
+        raise DataError(f"{path}: row {row_no}: non-finite cell")
+    with open(path, newline="", encoding="utf-8") as fh:
+        raw_t = next(itertools.islice(csv.reader(fh), row_no - 1, None))[1]
+    raise DataError(f"{path}: row {row_no}: repeats t={raw_t} of series {list(index)[group[k]]!r}")
 
 
 @contextmanager
@@ -115,16 +162,35 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
 
 
 def save_csv(ds: SeriesDataset, path, series_ids: "list[str] | None" = None) -> None:
-    """Write a dataset in the long CSV format read by :func:`load_csv`, atomically."""
+    """Write a dataset in the long CSV format read by :func:`load_csv`, atomically.
+
+    The bytes are those of ``csv.writer`` writing ``[id, t, repr(v1), ...]``
+    row by row: CRLF line ends, and an id quoted as a field inside a row.
+    Each series is formatted in one pass and written with one call.
+    """
     if series_ids is None:
         series_ids = [f"s{i}" for i in range(ds.n_series)]
+    if len(series_ids) != ds.n_series:
+        raise ShapeError(f"{len(series_ids)} series ids for {ds.n_series} series")
     header = [CSV_ID_COLUMN, CSV_TIME_COLUMN] + [f"v{j + 1}" for j in range(ds.n_channels)]
+    steps = [str(t) for t in range(ds.n_steps)]
     with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, sid in enumerate(series_ids):
-            for t in range(ds.n_steps):
-                writer.writerow([sid, t] + [repr(float(v)) for v in ds.data[i, t]])
+        fh.write(",".join(header) + "\r\n")
+        for sid, series in zip(series_ids, ds.data):
+            columns = (map(repr, channel) for channel in series.T.tolist())
+            rows = zip(itertools.repeat(_csv_field(sid)), steps, *columns)
+            fh.write("".join([line + "\r\n" for line in map(",".join, rows)]))
+
+
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it inside a row.
+
+    An empty value is written bare there, though alone on its row
+    ``csv.writer`` writes it as ``""``.
+    """
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-3]   # drop the "," and the CRLF after it
 
 
 def normalize_minmax(ds: SeriesDataset) -> SeriesDataset:

@@ -1,8 +1,10 @@
 """Evaluation metrics: RBF-kernel MMD, ensemble CRPS, pointwise errors.
 
 ``sequence_mmd`` and ``marginal_mmd`` compute the squared distances of the
-union of both sample sets once, a fixed-size block of rows at a time, and
-take the median bandwidth and the three kernel means from that one matrix.
+union of both sample sets once, a fixed-size block of rows at a time. Each
+block covers only the columns on and above the diagonal and is mirrored
+below it, so every distance is computed once. The median bandwidth and the
+three kernel means are taken from that one matrix.
 Their values are bitwise equal to ``mmd_rbf(X, Y, median_bandwidth([X; Y]))``,
 the two public oracles, which build each distance block on their own.
 """
@@ -63,7 +65,8 @@ def flatten_sequences(data: np.ndarray) -> np.ndarray:
     return data.reshape(data.shape[0], data.shape[1] * data.shape[2])
 
 
-# Bytes of the (rows, N+M, d) difference tensor built per block of rows.
+# Bytes of the largest (rows, N+M, d) difference tensor built per block of
+# rows; later blocks cover fewer columns.
 _BLOCK_BYTES = 4 * 2**20
 
 
@@ -84,7 +87,12 @@ def _union_mmd(X: np.ndarray, Y: np.ndarray, h: "float | None" = None) -> float:
     rows = max(1, _BLOCK_BYTES // (8 * n * max(1, U.shape[1])))
     D = np.empty((n, n))
     for r in range(0, n, rows):
-        D[r:r + rows] = _pairwise_sq_dists(U[r:r + rows], U)
+        # d(i, j) and d(j, i) are bitwise equal: (a - b)^2 == (b - a)^2 and
+        # each row sum runs in the same order. So each block covers only
+        # columns r: and is mirrored below the diagonal.
+        block = _pairwise_sq_dists(U[r:r + rows], U[r:])
+        D[r:r + rows, r:] = block
+        D[r:, r:r + rows] = block.T
     if h is None:
         upper = np.triu(np.ones((n, n), dtype=bool), k=1)
         h = float(np.median(np.sqrt(D[upper])))

@@ -423,8 +423,11 @@ def test_config_values_never_end_in_traceback(tiny_cfg, trained_run, tmp_path, t
 
 
 def _fail_csv(monkeypatch, path):
-    # one id too many: the third series raises IndexError after two were written
-    data.save_csv(data.SeriesDataset(np.ones((2, 3, 1))), path, series_ids=["a", "b", "c"])
+    def replace_fails(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(data.os, "replace", replace_fails)  # after every row is written
+    data.save_csv(data.SeriesDataset(np.ones((2, 3, 1))), path)
 
 
 def _fail_checkpoint(monkeypatch, path):
@@ -453,7 +456,7 @@ def _fail_config(monkeypatch, path):
 def test_failed_write_keeps_previous_artifact(tmp_path, monkeypatch, name, fail):
     path = tmp_path / name
     path.write_bytes(b"previous contents\n")
-    with pytest.raises((OSError, TypeError, IndexError)):
+    with pytest.raises((OSError, TypeError)):
         fail(monkeypatch, path)
     assert path.read_bytes() == b"previous contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alternator import metrics
 from alternator.errors import ConfigError, ShapeError
 from alternator.metrics import (
     crps_ensemble,
@@ -142,6 +143,21 @@ def test_sequence_mmd_equals_oracles_bitwise():
     assert sequence_mmd(A, B, h=0.7) == mmd_rbf(X, Y, 0.7)
     assert sequence_mmd(A[:1], B[:1]) == mmd_rbf(X[:1], Y[:1], median_bandwidth(
         np.concatenate([X[:1], Y[:1]])))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 8 * 63 * 63 * 20, 8 * 63 * 20 * 31])
+def test_sequence_mmd_equals_oracles_bitwise_at_any_block_size(monkeypatch, block_bytes):
+    # 1 byte: _BLOCK_BYTES // (8 n d) is 0, so every block is one row.
+    # 8 n^2 d bytes: all 63 rows fit in one block. 31 rows a block: the last
+    # block holds the 63rd row alone.
+    monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(8)
+    A = rng.normal(size=(40, 10, 2))
+    B = rng.normal(loc=0.3, size=(23, 10, 2))
+    X, Y = A.reshape(40, -1), B.reshape(23, -1)
+    h = median_bandwidth(np.concatenate([X, Y]))
+    assert sequence_mmd(A, B) == mmd_rbf(X, Y, h)
+    assert sequence_mmd(A, B, h=0.9) == mmd_rbf(X, Y, 0.9)
 
 
 def test_marginal_mmd_equals_per_timestep_oracle_loop_bitwise():
