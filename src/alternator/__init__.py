@@ -12,12 +12,10 @@ from .core import (
     AlternatorModel,
     BatchTrajectories,
     NoiseSchedule,
-    Trajectory,
     alternate,
     build_model,
     default_schedule,
     encode,
-    generate,
     generate_batch,
     linear_schedule,
     load_model,
@@ -46,7 +44,6 @@ from .metrics import (
 from .networks import (
     Network,
     NetworkSpec,
-    ParameterSet,
     activation_forward,
     init_parameters,
     linear_forward,

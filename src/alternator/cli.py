@@ -105,7 +105,7 @@ def _parse_set(expr: str) -> tuple[list[str], object]:
     key, raw = expr.split("=", 1)
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         value = raw
     return key.split("."), value
 
@@ -132,14 +132,14 @@ def resolve_config(args: argparse.Namespace) -> dict:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {args.config}: invalid JSON ({exc})") from exc
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"config file {args.config}: expected a JSON object")
-        file_cfg.pop("task", None)  # the subcommand owns the task
-        if isinstance(file_cfg.get("model"), dict):
-            file_cfg["model"].pop("d_x", None)  # train records it; the dataset sets it
-        cfg = _deep_merge(cfg, file_cfg)
+            if not isinstance(file_cfg, dict):
+                raise ConfigError(f"config file {args.config}: expected a JSON object")
+            file_cfg.pop("task", None)  # the subcommand owns the task
+            if isinstance(file_cfg.get("model"), dict):
+                file_cfg["model"].pop("d_x", None)  # train records it; the dataset sets it
+            cfg = _deep_merge(cfg, file_cfg)  # recurses into each value as it copies it
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise ConfigError(f"config file {args.config}: not readable as JSON ({exc})") from exc
     cfg["task"] = args.task
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -326,7 +326,7 @@ def run_train(cfg: dict, out_dir: Path) -> int:
     with open(log_path, "w", encoding="utf-8") as log:
         def log_fn(stats: training.EpochStats) -> None:
             rec = {"epoch": stats.epoch, "lr": stats.lr}
-            rec.update(stats.loss.as_dict())
+            rec.update(dataclasses.asdict(stats.loss))
             log.write(json.dumps(rec, sort_keys=True) + "\n")
 
         model, history = training.train(model, ds, train_cfg, log_fn=log_fn)
@@ -352,7 +352,7 @@ def run_generate(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
                           f"schedule length {model.schedule.T}, got {T}")
     _write_config(cfg, out_dir)
     batch = core.generate_batch(model, g["n_samples"], T, cfg["seed"])
-    data.save_csv(data.SeriesDataset(batch.xs, name="samples"), out_dir / "samples.csv")
+    data.save_csv(data.SeriesDataset(batch.xs), out_dir / "samples.csv")
     print(f"generated {g['n_samples']} sequences of length {T} into {out_dir}")
     return EXIT_OK
 
@@ -363,7 +363,7 @@ def run_encode(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
     seeds = [core.spawn_seed(cfg["seed"], i) for i in range(ds.n_series)]
     latents = core.encode(model, ds.data, seeds,
                           mean_propagation=cfg["encode"]["mean_propagation"])
-    data.save_csv(data.SeriesDataset(latents, name="latents"), out_dir / "latents.csv")
+    data.save_csv(data.SeriesDataset(latents), out_dir / "latents.csv")
     print(f"encoded {ds.n_series} sequences into {out_dir}")
     return EXIT_OK
 
@@ -408,7 +408,7 @@ def run_impute(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
                 writer.add_mean(name, vals, rate=rate)
     writer.flush()
     data.save_csv(
-        data.SeriesDataset(filled, name="imputed"), out_dir / "imputed.csv",
+        data.SeriesDataset(filled), out_dir / "imputed.csv",
         series_ids=[f"rate{rates[r]:g}_s{i}" for r, i in keys],
     )
     print(f"imputation sweep over {len(icfg['rates'])} rates written to {out_dir}")
@@ -448,7 +448,7 @@ def run_forecast(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
         writer.add(f"{name}_avg", float(values.mean()), n=values.size)
     writer.flush()
     data.save_csv(
-        data.SeriesDataset(ens.members.reshape(S * M, H, model.d_x), name="ensemble"),
+        data.SeriesDataset(ens.members.reshape(S * M, H, model.d_x)),
         out_dir / "ensemble.csv", series_ids=[f"s{i}_m{m}" for i in range(S) for m in range(M)],
     )
     print(f"forecast metrics over horizon {H} written to {out_dir}")

@@ -37,7 +37,6 @@ from .networks import (
     SELF_ATTENTION,
     Network,
     NetworkSpec,
-    ParameterSet,
     parameter_shapes,
 )
 
@@ -195,12 +194,6 @@ class AlternatorModel:
 
     def networks(self) -> dict[str, Network]:
         return {name: getattr(self, name) for name in _NET_ORDER}
-
-    def parameters(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for name in _NET_ORDER:
-            out.extend(getattr(self, name).params)
-        return out
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -398,17 +391,9 @@ def stack_steps(steps: Iterable[AlternationStep], n: int, *fields: str) -> list[
 
 
 @dataclass
-class Trajectory:
-    """One generated rollout: observations, latents (z_0 first), and means."""
-
-    xs: np.ndarray     # (T, d_x)
-    zs: np.ndarray     # (T+1, d_z)
-    mu_xs: np.ndarray  # (T, d_x)
-    mu_zs: np.ndarray  # (T, d_z)
-
-
-@dataclass
 class BatchTrajectories:
+    """n generated rollouts: observations, latents (z_0 first), and means."""
+
     xs: np.ndarray     # (n, T, d_x)
     zs: np.ndarray     # (n, T+1, d_z)
     mu_xs: np.ndarray  # (n, T, d_x)
@@ -433,12 +418,6 @@ def generate_batch(model: AlternatorModel, n: int, T: int, seed: int) -> BatchTr
     xs, zs, mu_xs, mu_zs = stack_steps(steps, T, "x", "z", "mu_x", "mu_z")
     zs = np.concatenate([z0[:, None], zs], axis=1)
     return BatchTrajectories(xs=xs, zs=zs, mu_xs=mu_xs, mu_zs=mu_zs)
-
-
-def generate(model: AlternatorModel, T: int, seed: int) -> Trajectory:
-    """Sample a single trajectory (batch generation with n=1)."""
-    b = generate_batch(model, 1, T, seed)
-    return Trajectory(xs=b.xs[0], zs=b.zs[0], mu_xs=b.mu_xs[0], mu_zs=b.mu_zs[0])
 
 
 def series_stack(xs, seed, d_x: int, what: str) -> tuple[np.ndarray, list, bool]:
@@ -518,11 +497,10 @@ def _pack_network(buf: io.BytesIO, net: Network) -> None:
         "<BIIIIB", _KIND_CODE[s.kind], s.input_dim, s.output_dim,
         s.hidden_dim, s.depth, _ACT_CODE[s.activation],
     ))
-    names = net.params.names()
-    buf.write(struct.pack("<I", len(names)))
-    for name in names:
+    buf.write(struct.pack("<I", len(net.params)))
+    for name, param in net.params.items():
         raw = name.encode("utf-8")
-        arr = net.params[name].data
+        arr = param.data
         buf.write(struct.pack("<H", len(raw)))
         buf.write(raw)
         buf.write(struct.pack("<B", arr.ndim))
@@ -576,7 +554,7 @@ def _unpack_network(r: _Reader) -> Network:
     )
     layout = parameter_shapes(spec)
     (n_params,) = r.unpack("<I")
-    params = ParameterSet()
+    params: dict[str, Tensor] = {}
     for _ in range(n_params):
         (name_len,) = r.unpack("<H")
         raw = r.take(name_len)
@@ -592,7 +570,7 @@ def _unpack_network(r: _Reader) -> Network:
         arr = np.frombuffer(r.take(8 * math.prod(shape)), dtype=np.float64).reshape(shape)
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"checkpoint parameter {name} has non-finite values")
-        params.add(name, arr)
+        params[name] = Tensor(arr.copy())  # frombuffer is a read-only view; Adam writes in place
     if next(layout, None) is not None:
         raise CheckpointError("checkpoint has fewer parameters than its network spec")
     return Network(spec=spec, params=params)

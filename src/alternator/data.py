@@ -34,7 +34,6 @@ class SeriesDataset:
 
     data: np.ndarray
     norm: "tuple[np.ndarray, np.ndarray] | None" = None
-    name: str = "dataset"
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -72,7 +71,7 @@ def load_csv(path) -> SeriesDataset:
     blanks: list[int] = []       # data rows read before each blank line
     error = None
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -114,7 +113,18 @@ def load_csv(path) -> SeriesDataset:
         sid = list(index)[ragged[0]]
         raise DataError(f"{path}: series {sid!r} has length {lengths[ragged[0]]}, expected {T}")
     data = table[order, 1:].reshape(len(index), T, width - 2)
-    return SeriesDataset(data=data, name=str(path))
+    return SeriesDataset(data=data)
+
+
+def _csv_rows(path, fh):
+    """``csv.reader`` rows of ``fh``; undecodable text and csv errors raise DataError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _check_rows(path, table, group, order, blanks, index) -> None:
@@ -235,7 +245,7 @@ def synth_bimodal(N: int, T: int, noise_std: float, seed: int) -> SeriesDataset:
     t = np.arange(1, T + 1)
     base = np.sin(2.0 * np.pi * t / T)
     data = modes[:, None] * base[None, :] + noise_std * rng.standard_normal((N, T))
-    return SeriesDataset(data=data[:, :, None], name="bimodal")
+    return SeriesDataset(data=data[:, :, None])
 
 
 def synth_ar1(
@@ -261,7 +271,7 @@ def synth_ar1(
     steps = rng.standard_normal((N, T - 1)) if T > 1 else None
     for t in range(1, T):
         data[:, t] = phi_coeff * data[:, t - 1] + noise_std * steps[:, t - 1]
-    return SeriesDataset(data=data[:, :, None], name="ar1")
+    return SeriesDataset(data=data[:, :, None])
 
 
 def split_dataset(
@@ -282,5 +292,4 @@ def split_dataset(
     n_train = N - n_val - n_test
     perm = np.random.default_rng(seed).permutation(N)
     parts = (perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:])
-    return tuple(replace(ds, data=ds.data[idx], name=f"{ds.name}/{label}")
-                 for label, idx in zip(("train", "val", "test"), parts))
+    return tuple(replace(ds, data=ds.data[idx]) for idx in parts)

@@ -55,35 +55,6 @@ class NetworkSpec:
             raise ConfigError("network depth must be >= 1")
 
 
-class ParameterSet:
-    """Ordered name -> Tensor mapping holding one network's parameters."""
-
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-
-    def add(self, name: str, value: np.ndarray) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        t = Tensor(np.array(value, dtype=np.float64))
-        self._params[name] = t
-        return t
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __iter__(self):
-        return iter(self._params.values())
-
-    def names(self) -> list[str]:
-        return list(self._params.keys())
-
-    def items(self):
-        return self._params.items()
-
-
 def parameter_shapes(spec: NetworkSpec) -> Iterator[tuple[str, tuple[int, ...]]]:
     """(name, shape) of each parameter of ``spec``, in initialization order.
 
@@ -106,16 +77,15 @@ def parameter_shapes(spec: NetworkSpec) -> Iterator[tuple[str, tuple[int, ...]]]
     yield "out.bias", (spec.output_dim,)
 
 
-def init_parameters(spec: NetworkSpec, seed: int) -> ParameterSet:
-    """Fan-in initialization: weights ~ N(0, 1/fan_in), biases zero."""
+def init_parameters(spec: NetworkSpec, seed: int) -> dict[str, Tensor]:
+    """Fan-in initialization: weights ~ N(0, 1/fan_in), biases zero.
+
+    The dict holds one Tensor per parameter, in :func:`parameter_shapes` order.
+    """
     rng = np.random.default_rng(seed)
-    params = ParameterSet()
-    for name, shape in parameter_shapes(spec):
-        if len(shape) == 2:
-            params.add(name, rng.normal(0.0, np.sqrt(1.0 / shape[0]), size=shape))
-        else:
-            params.add(name, np.zeros(shape))
-    return params
+    return {name: Tensor(rng.normal(0.0, np.sqrt(1.0 / shape[0]), size=shape)
+                         if len(shape) == 2 else np.zeros(shape))
+            for name, shape in parameter_shapes(spec)}
 
 
 def linear_forward(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
@@ -169,13 +139,13 @@ def attention_matrix(x: Tensor, wq: Tensor, wk: Tensor) -> np.ndarray:
     return _attention_weights(x, wq, wk).data
 
 
-def _mlp_forward(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Tensor:
+def _mlp_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:
     layers = [(params[f"layer{i}.weight"], params[f"layer{i}.bias"]) for i in range(spec.depth)]
     layers.append((params["out.weight"], params["out.bias"]))
     return ad.mlp(x, layers, spec.activation)
 
 
-def _attention_forward(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Tensor:
+def _attention_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:
     # x: (B, input_dim) -> tokens (B*input_dim, 1) -> embedded (B, input_dim, hidden)
     B = x.data.shape[0]
     tokens = ad.reshape(x, (B * spec.input_dim, 1))
@@ -188,7 +158,7 @@ def _attention_forward(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Te
     return linear_forward(ad.mean_rows(h), params["out.weight"], params["out.bias"])
 
 
-def network_forward(spec: NetworkSpec, params: ParameterSet, x: Tensor) -> Tensor:
+def network_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:
     """Apply a network to ``x`` of shape (batch, input_dim) or (input_dim,)."""
     squeeze = x.data.ndim == 1
     if squeeze:
@@ -208,7 +178,7 @@ class Network:
     """A spec bundled with its parameters; callable on tensors or arrays."""
 
     spec: NetworkSpec
-    params: ParameterSet = field(repr=False)
+    params: dict[str, Tensor] = field(repr=False)
 
     @classmethod
     def build(cls, spec: NetworkSpec, seed: int) -> "Network":

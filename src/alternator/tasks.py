@@ -30,13 +30,11 @@ MISSING_SENTINEL = np.nan
 class MARMask:
     """Missing-at-random mask: True marks an observed timestep.
 
-    A mask over a stack of series has a leading (S,) axis on ``observed``
-    and one rate and one seed per series.
+    ``observed`` is (T,), or (T, d_x) when masked per channel; a mask over a
+    stack of series has a leading (S,) axis.
     """
 
-    observed: np.ndarray     # bool, (T,) or (T, d_x) when per-channel
-    rate: "float | np.ndarray"
-    seed: "int | np.ndarray"
+    observed: np.ndarray
 
     @property
     def missing_fraction(self) -> float:
@@ -45,9 +43,7 @@ class MARMask:
     @staticmethod
     def stack(masks: "Sequence[MARMask]") -> "MARMask":
         """One mask over the stack of the masks' series, in order."""
-        return MARMask(observed=np.stack([m.observed for m in masks]),
-                       rate=np.array([m.rate for m in masks]),
-                       seed=np.array([m.seed for m in masks]))
+        return MARMask(np.stack([m.observed for m in masks]))
 
 
 def apply_mar_mask(
@@ -73,7 +69,7 @@ def apply_mar_mask(
         masked[~observed] = MISSING_SENTINEL
     else:
         masked[~observed, :] = MISSING_SENTINEL
-    return masked, MARMask(observed=observed, rate=rate, seed=seed)
+    return masked, MARMask(observed)
 
 
 def _observed_grid(observed: np.ndarray, shape: tuple) -> np.ndarray:

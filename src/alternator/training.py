@@ -28,7 +28,7 @@ the residual (x - mu_x)/sigma_x implied by the observation), while
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -81,12 +81,6 @@ class LossBreakdown:
     alt_x: float
     nm_z: float
     nm_x: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "total": self.total, "alt_z": self.alt_z, "alt_x": self.alt_x,
-            "nm_z": self.nm_z, "nm_x": self.nm_x,
-        }
 
 
 @dataclass
@@ -345,7 +339,7 @@ def train(
         rng = _epoch_rng(config.seed, epoch)
         lr = cosine_lr(epoch - 1, config.epochs, config.lr_max, config.lr_min)
         perm = rng.permutation(N)
-        sums = np.zeros(5)
+        sums = np.zeros(len(fields(LossBreakdown)))
         for start in range(0, N, config.batch_size):
             idx = perm[start:start + config.batch_size]
             batch = data[idx]
@@ -361,10 +355,7 @@ def train(
                 raise NumericError(f"training aborted at epoch {epoch}: {exc}") from exc
             named_grads = {name: grads.of(p) for name, p in params.items()}
             adam_step(params, named_grads, state, lr)
-            sums += len(idx) * np.array([
-                breakdown.total, breakdown.alt_z, breakdown.alt_x,
-                breakdown.nm_z, breakdown.nm_x,
-            ])
+            sums += len(idx) * np.array(astuple(breakdown))
         avg = sums / N
         stats = EpochStats(epoch=epoch, lr=float(lr),
                            loss=LossBreakdown(*[float(v) for v in avg]))

@@ -36,7 +36,7 @@ def make_model(
 
 
 def zero_network(net: Network) -> Network:
-    for t in net.params:
+    for t in net.params.values():
         t.data[:] = 0.0
     return net
 

@@ -118,7 +118,7 @@ def test_criterion_1_gradient_check_full_objective():
     def loss_fn():
         return total_loss(model, batch, cfg, noise)[0]
 
-    err = finite_difference_check(loss_fn, model.parameters(), h=1e-5)
+    err = finite_difference_check(loss_fn, model.named_parameters().values(), h=1e-5)
     elapsed = time.time() - t0
     report(1, err <= 1e-4 and elapsed < MINUTE,
            f"max rel grad error {err:.2e} over all four networks "

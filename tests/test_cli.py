@@ -1,16 +1,21 @@
 """End-to-end CLI runs: resolution, artifacts, determinism, exit codes."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_model
 
@@ -325,6 +330,39 @@ def test_shape_error_exits_with_config_code(trained_run, tmp_path, capsys, monke
     assert "shape error: incompatible shapes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    b"[" * 50_000,
+    b'{"dataset": {"x0": ' + b"[" * 600 + b"]" * 600 + b"}}",  # the merge copies it recursively
+], ids=["not-utf8", "json-recursion", "merge-recursion"])
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, content):
+    path = tmp_path / "c.json"
+    path.write_bytes(content)
+    code = run_cli("train", "--config", path, "--set", "dataset.kind=bimodal",
+                   "--out", tmp_path / "o")
+    assert code == cli.EXIT_CONFIG
+    assert f"config file {path}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_set_value_too_deep_for_json_is_a_string():
+    assert cli._parse_set("dataset.path=" + "[" * 50_000) == (["dataset", "path"], "[" * 50_000)
+
+
+@pytest.mark.parametrize("content, named", [
+    (b"series_id,t,v1\nA,0,1.0\n\xff,1,2.0\n", "not UTF-8 text"),
+    (b'series_id,t,v1\nA,0,1.0\nA,1,"' + b"x" * 200_000 + b'"\n',
+     "line 3: field larger than field limit"),
+], ids=["not-utf8", "field-limit"])
+def test_unreadable_csv_is_io_error(tmp_path, capsys, content, named):
+    path = tmp_path / "d.csv"
+    path.write_bytes(content)
+    code = run_cli("train", "--set", "dataset.kind=csv", "--set", f"dataset.path={path}",
+                   "--out", tmp_path / "o")
+    assert code == cli.EXIT_IO
+    assert f"{path}: {named}" in capsys.readouterr().err
+
+
 def test_missing_dataset_kind_is_config_error(tmp_path):
     assert run_cli("train", "--out", tmp_path / "x") == cli.EXIT_CONFIG
 
@@ -460,3 +498,57 @@ def test_failed_write_keeps_previous_artifact(tmp_path, monkeypatch, name, fail)
         fail(monkeypatch, path)
     assert path.read_bytes() == b"previous contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+# Every size field is set here to a few units; the drawn values below are
+# at most 1 in size, so every run stays tiny.
+_EDGE_BASE = {
+    "dataset.kind": "bimodal", "dataset.n": 3, "dataset.t": 4, "model.d_z": 2,
+    "model.hidden_dim": 2, "model.depth": 1, "train.epochs": 1, "train.batch_size": 2,
+    "generate.n_samples": 2, "generate.horizon": 2, "impute.rates": [0.5],
+    "forecast.horizon": 1, "forecast.members": 2, "eval_density.n_samples": 3,
+}
+
+
+def _leaves(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + key + ".")
+        else:
+            yield prefix + key, value
+
+
+def _edge_values(name, default):
+    like = cli._NULLABLE.get(name, default)
+    elem = like[0] if isinstance(like, list) and like else 0.5
+    wrong_type = 1 if isinstance(like, str) else "x"
+    return st.sampled_from([0, -1, float("nan"), wrong_type, [], [elem], [elem] * 3])
+
+
+_EDGE_SETS = st.one_of(*[st.tuples(st.just(name), _edge_values(name, default))
+                         for name, default in _leaves(cli.DEFAULTS)])
+
+
+@pytest.fixture(scope="module")
+def edge_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("edge")
+    sets = [a for k, v in _EDGE_BASE.items() for a in ("--set", f"{k}={json.dumps(v)}")]
+    assert run_cli("train", *sets, "--out", out) == cli.EXIT_OK
+    return out / "checkpoint.alt", sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(task=st.sampled_from(cli.TASKS), edges=st.lists(_EDGE_SETS, min_size=1, max_size=2))
+def test_edge_values_exit_cleanly(edge_checkpoint, tmp_path_factory, task, edges):
+    checkpoint, sets = edge_checkpoint
+    out = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp())) / "o"
+    argv = [task, *sets, "--out", out]
+    if task != "train":
+        argv += ["--checkpoint", checkpoint]
+    for name, value in edges:
+        argv += ["--set", f"{name}={json.dumps(value)}"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run_cli(*argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC, cli.EXIT_IO)
+    if code == cli.EXIT_CONFIG:
+        assert not out.exists() or not any(out.iterdir())

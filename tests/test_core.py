@@ -15,7 +15,6 @@ from alternator.core import (
     alternate,
     encode,
     encode_states,
-    generate,
     generate_batch,
     linear_schedule,
     load_model,
@@ -345,23 +344,23 @@ def test_alternate_with_precomputed_lat_out_matches_per_step_lat_net(tiny_model)
 # --- trajectory generation ----------------------------------------------------
 
 def test_generate_shapes(tiny_model):
-    traj = generate(tiny_model, T=4, seed=0)
-    assert traj.xs.shape == (4, 2)
-    assert traj.zs.shape == (5, 2)
-    assert traj.mu_xs.shape == (4, 2)
-    assert traj.mu_zs.shape == (4, 2)
+    traj = generate_batch(tiny_model, 3, T=4, seed=0)
+    assert traj.xs.shape == (3, 4, 2)
+    assert traj.zs.shape == (3, 5, 2)
+    assert traj.mu_xs.shape == (3, 4, 2)
+    assert traj.mu_zs.shape == (3, 4, 2)
 
 
 def test_generate_same_seed_identical(tiny_model):
-    a = generate(tiny_model, T=4, seed=11)
-    b = generate(tiny_model, T=4, seed=11)
+    a = generate_batch(tiny_model, 2, T=4, seed=11)
+    b = generate_batch(tiny_model, 2, T=4, seed=11)
     assert np.array_equal(a.xs, b.xs)
     assert np.array_equal(a.zs, b.zs)
 
 
 def test_generate_rejects_horizon_beyond_schedule(tiny_model):
     with pytest.raises(ConfigError):
-        generate(tiny_model, T=10, seed=0)
+        generate_batch(tiny_model, 1, T=10, seed=0)
 
 
 def test_alternate_rejects_steps_past_schedule(tiny_model):
@@ -382,12 +381,6 @@ def test_generate_monte_carlo_pure_noise_mean():
     batch = generate_batch(model, 10_000, T=3, seed=123)
     tol = 5.0 * model.schedule.sigma_x / np.sqrt(10_000)
     assert np.all(np.abs(batch.xs.mean(axis=0)) <= tol)
-
-
-def test_generate_batch_first_matches_single(tiny_model):
-    single = generate(tiny_model, T=4, seed=21)
-    batch = generate_batch(tiny_model, 1, T=4, seed=21)
-    assert np.array_equal(single.xs, batch.xs[0])
 
 
 # --- encoding -------------------------------------------------------------
@@ -448,8 +441,10 @@ def test_checkpoint_round_trip_bitwise(tmp_path, tiny_model):
     for name, net in tiny_model.networks().items():
         other = loaded.networks()[name]
         assert other.spec == net.spec
-        for pname in net.params.names():
+        assert list(other.params) == list(net.params)
+        for pname in net.params:
             assert np.array_equal(other.params[pname].data, net.params[pname].data)
+            assert other.params[pname].data.flags.writeable  # Adam updates in place
 
 
 def test_checkpoint_truncated_file(tmp_path, tiny_model):
@@ -476,6 +471,21 @@ def test_checkpoint_corrupted_payload(tmp_path, tiny_model):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError):
         load_model(path)
+
+
+def test_every_truncation_and_bit_flip_is_checkpoint_error(tmp_path):
+    path = tmp_path / "model.alt"
+    save_model(make_model(hidden_dim=2, depth=1), path)
+    blob = path.read_bytes()
+    flips = []
+    for i in range(len(blob)):
+        flipped = bytearray(blob)
+        flipped[i] ^= 1 << (i % 8)
+        flips.append(bytes(flipped))
+    for bad in [blob[:n] for n in range(len(blob))] + flips:
+        path.write_bytes(bad)
+        with pytest.raises(CheckpointError):
+            load_model(path)
 
 
 def test_checkpoint_header_dim_mismatch(tmp_path, tiny_model):

@@ -101,8 +101,8 @@ def test_init_same_seed_is_bitwise_identical():
     spec = NetworkSpec(input_dim=3, output_dim=2, hidden_dim=5, depth=2)
     p1 = init_parameters(spec, seed=42)
     p2 = init_parameters(spec, seed=42)
-    assert p1.names() == p2.names()
-    for name in p1.names():
+    assert list(p1) == list(p2)
+    for name in p1:
         assert np.array_equal(p1[name].data, p2[name].data)
 
 
@@ -130,7 +130,7 @@ def test_network_forward_zero_params_gives_zero_output():
     for kind in (MLP, SELF_ATTENTION):
         spec = NetworkSpec(input_dim=3, output_dim=2, hidden_dim=4, depth=2, kind=kind)
         params = init_parameters(spec, seed=0)
-        for t in params:
+        for t in params.values():
             t.data[:] = 0.0
         out = network_forward(spec, params, Tensor(np.ones((2, 3))))
         assert np.array_equal(out.data, np.zeros((2, 2)))
@@ -179,7 +179,7 @@ def test_attention_network_gradients_match_finite_differences_batched():
     def loss():
         return ad.total_sum(ad.square(net(x)))
 
-    assert finite_difference_check(loss, list(net.params) + [x], h=1e-5) <= 1e-4
+    assert finite_difference_check(loss, list(net.params.values()) + [x], h=1e-5) <= 1e-4
 
 
 def test_attention_forward_tape_size_does_not_depend_on_batch():
@@ -202,7 +202,7 @@ def test_mlp_gradients_flow_through_network_forward():
     def loss():
         return ad.total_sum(ad.square(net(x)))
 
-    assert finite_difference_check(loss, list(net.params), h=1e-5) <= 1e-4
+    assert finite_difference_check(loss, net.params.values(), h=1e-5) <= 1e-4
 
 
 def test_spec_validation():
@@ -230,7 +230,7 @@ def test_fused_mlp_matches_layer_chain_bitwise(depth, activation):
                        activation=activation)
     params = init_parameters(spec, seed=1)
     rng = np.random.default_rng(2)
-    for t in params:
+    for t in params.values():
         t.data += 0.1 * rng.normal(size=t.data.shape)  # nonzero biases
     x_data = rng.normal(size=(11, 5))
     weight = Tensor(rng.normal(size=(11, 3)))
@@ -241,7 +241,7 @@ def test_fused_mlp_matches_layer_chain_bitwise(depth, activation):
             out = forward(spec, params, x)
             loss = ad.total_sum(ad.mul(out, weight))
         grads = ad.backward(tape, loss)
-        results.append([out.data, grads.of(x)] + [grads.of(t) for t in params])
+        results.append([out.data, grads.of(x)] + [grads.of(t) for t in params.values()])
     for fused, chain in zip(*results):
         assert np.array_equal(fused, chain)
 

@@ -93,7 +93,7 @@ def test_impute_missing_value_is_step_mean(tiny_model):
     observed = np.array([True, False, True])
     masked = xs.copy()
     masked[1] = np.nan
-    mask = MARMask(observed=observed, rate=0.33, seed=0)
+    mask = MARMask(observed=observed)
     out = impute(tiny_model, masked, mask, seed=2, mean_propagation=True)
 
     z = np.random.default_rng(
@@ -189,12 +189,12 @@ def test_impute_stack_needs_one_seed_and_mask_per_series(tiny_model):
 
 def test_impute_dimension_mismatch(tiny_model):
     with pytest.raises(ShapeError):
-        impute(tiny_model, np.zeros((4, 3)), MARMask(np.ones(4, bool), 0.0, 0), seed=0)
+        impute(tiny_model, np.zeros((4, 3)), MARMask(np.ones(4, bool)), seed=0)
 
 
 def test_mean_fill_uses_observed_mean():
     xs = np.array([[1.0], [2.0], [3.0], [4.0]])
-    mask = MARMask(observed=np.array([True, False, False, True]), rate=0.5, seed=0)
+    mask = MARMask(observed=np.array([True, False, False, True]))
     masked = xs.copy()
     masked[1:3] = np.nan
     out = mean_fill(masked, mask)

@@ -303,7 +303,7 @@ def test_total_loss_gradients_match_finite_differences(mode, free_running, kind)
     def loss_fn():
         return total_loss(model, batch, cfg, noise)[0]
 
-    err = finite_difference_check(loss_fn, model.parameters(), h=1e-5)
+    err = finite_difference_check(loss_fn, model.named_parameters().values(), h=1e-5)
     assert err <= 1e-4
 
 
@@ -316,10 +316,10 @@ def test_lambda_zero_vanilla_schedule_noise_nets_get_exact_zero_grads():
         loss, _ = total_loss(model, batch, cfg, noise)
     grads = backward(tape, loss)
     for net in (model.obs_noise_net, model.lat_noise_net):
-        for p in net.params:
+        for p in net.params.values():
             assert np.array_equal(grads.of(p), np.zeros_like(p.data))
     # the reconstruction networks do receive gradient
-    assert any(np.any(grads.of(p) != 0) for p in model.obs_net.params)
+    assert any(np.any(grads.of(p) != 0) for p in model.obs_net.params.values())
 
 
 # --- optimizer and learning rate -------------------------------------------
