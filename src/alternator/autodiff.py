@@ -9,6 +9,19 @@ record-free, which is what the sampling and evaluation paths use. A VJP
 returns one gradient per input, full-shape, except that :func:`select`
 returns only its slice, which :func:`backward` adds in place.
 
+The sweep allocates only where the arithmetic needs a new array. The fused
+:func:`mlp` applies tanh in place on its own pre-activation buffer, and its
+VJP turns each saved hidden activation into that layer's gradient in the
+same buffer. A node's VJP may therefore consume what its forward saved, so
+a tape can be swept once: a second :func:`backward` over it raises
+``ValueError``. :func:`backward` keeps a node's first gradient contribution
+as the VJP returned it (borrowed: it may be another node's gradient, or a
+view of one) and never writes into it. A second contribution makes a new
+array that backward owns, and later ones are added to that in place, so
+the float64 additions are the same as when every first contribution was
+copied. :meth:`Gradients.of` hands out a copy, so no two of its results
+share storage with each other or with the sweep.
+
 Every operation checks its output for NaN/Inf and raises
 :class:`~alternator.errors.NumericError` instead of letting non-finite
 values propagate silently. The fused :func:`mlp` op checks every affine
@@ -81,6 +94,7 @@ class Tape:
         self.nodes: list[_Node] = []
         self._leaves: dict[int, _Node] = {}
         self._leaf_refs: list["Tensor"] = []
+        self._swept = False           # set by backward, whose VJPs may consume saved buffers
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -109,7 +123,7 @@ class Tape:
 
 
 def _check_finite(data: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError(f"{op} produced non-finite values")
     return data
 
@@ -246,11 +260,23 @@ def transpose(a: Tensor) -> Tensor:
                  lambda g: (g.swapaxes(-1, -2),))
 
 
-# Each activation returns its output and a thunk for its elementwise
-# derivative; tanh, gelu and the fused mlp op all take both from here.
+# Each activation takes a pre-activation buffer that the caller owns and may
+# lose, and returns the activation and a one-shot ``times_derivative(g)``,
+# which returns ``g * act'(x)`` and may consume the activation's buffer. The
+# fused mlp takes both from here. tanh works in place in one buffer; GELU
+# needs its pre-activation for the derivative, so it allocates, and the
+# standalone gelu op uses it too.
 def _tanh_parts(x: np.ndarray):
-    out = np.tanh(x)
-    return out, lambda: 1.0 - out * out
+    out = np.tanh(x, out=x)
+
+    def times_derivative(g):
+        d = out             # g * (1.0 - out*out): the same operations in the same order
+        d *= d
+        np.subtract(1.0, d, out=d)
+        d *= g
+        return d
+
+    return out, times_derivative
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -260,25 +286,25 @@ _GELU_A = 0.044715
 def _gelu_parts(x: np.ndarray):
     t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
 
-    def derivative():
+    def times_derivative(g):
         sech2 = 1.0 - t * t
-        return 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+        return g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x))
 
-    return 0.5 * x * (1.0 + t), derivative
+    return 0.5 * x * (1.0 + t), times_derivative
 
 
 _ACTIVATIONS = {"tanh": _tanh_parts, "gelu": _gelu_parts}
 
 
 def tanh(a: Tensor) -> Tensor:
-    out, derivative = _tanh_parts(a.data)
-    return _emit("tanh", out, (a,), lambda g: (g * derivative(),))
+    out = np.tanh(a.data)   # the output is the caller's, so its VJP must not consume it
+    return _emit("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def gelu(a: Tensor) -> Tensor:
     """GELU via the tanh approximation ``0.5*x*(1 + tanh(c*(x + a*x^3)))``."""
-    out, derivative = _gelu_parts(a.data)
-    return _emit("gelu", out, (a,), lambda g: (g * derivative(),))
+    out, times_derivative = _gelu_parts(a.data)   # reads a.data, consumes nothing
+    return _emit("gelu", out, (a,), lambda g: (times_derivative(g),))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -383,13 +409,17 @@ def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]], activation: str) -> 
     output layer last. Forward and VJP do the arithmetic of the
     matmul/add/activation chain in the same order, so values and gradients
     are bitwise equal to it. Each affine output is checked for finiteness.
+    The hidden activations live in buffers that only this op sees: tanh is
+    applied in place on the pre-activation, and the VJP overwrites each
+    saved activation with that layer's gradient once the layer above has
+    used it. ``x.data`` and the output are never written.
     """
     act = _ACTIVATIONS.get(activation)
     if act is None:
         raise ConfigError(f"unknown activation: {activation!r}")
     last = len(layers) - 1
     h = x.data
-    hs, derivatives = [], []      # each layer's input, each hidden layer's derivative
+    hs, times_derivatives = [], []   # each layer's input, each hidden layer's g -> g * act'
     for k, (w, b) in enumerate(layers):
         if h.ndim != 2 or h.shape[1] != w.data.shape[0] or w.data.shape[1:] != b.data.shape:
             raise ShapeError(f"mlp layer {k}: input {h.shape}, weights {w.shape}, bias {b.shape}")
@@ -398,8 +428,8 @@ def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]], activation: str) -> 
         h += b.data
         _check_finite(h, "mlp output" if k == last else f"mlp layer {k}")
         if k < last:
-            h, derivative = act(h)
-            derivatives.append(derivative)
+            h, times_derivative = act(h)
+            times_derivatives.append(times_derivative)
     weights = [w.data for w, _ in layers]
     bias_shapes = [b.data.shape for _, b in layers]
 
@@ -407,7 +437,7 @@ def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]], activation: str) -> 
         grads = []
         for k in range(last, -1, -1):
             if k < last:
-                g = g * derivatives[k]()
+                g = times_derivatives[k](g)   # may consume hs[k + 1], used by layer k + 1 above
             grads += (_unbroadcast(g, bias_shapes[k]), hs[k].swapaxes(-1, -2) @ g)
             g = g @ weights[k].swapaxes(-1, -2)
         grads.append(g)
@@ -425,7 +455,12 @@ class Gradients:
         self._grads = grads
 
     def of(self, tensor: Tensor) -> np.ndarray:
-        """Gradient of the loss w.r.t. ``tensor`` (zeros if unreachable)."""
+        """A copy of the gradient of the loss w.r.t. ``tensor`` (zeros if unreachable).
+
+        The sweep's arrays are shared between nodes (a borrowed gradient is
+        another node's, or a view of one), so each result is a copy of its
+        own; parameters are small.
+        """
         node = tensor.node if tensor.node is not None else self._tape.leaf_node_of(tensor)
         if (
             node is None
@@ -434,16 +469,19 @@ class Gradients:
             or self._grads[node.idx] is None
         ):
             return np.zeros_like(tensor.data)
-        return self._grads[node.idx]
+        return np.array(self._grads[node.idx], dtype=np.float64, copy=True)
 
 
 def backward(tape: Tape, loss: Tensor) -> Gradients:
-    """Reverse sweep from ``loss`` over ``tape``.
+    """Reverse sweep from ``loss`` over ``tape``; a tape can be swept once.
 
     ``loss`` must be a scalar recorded on ``tape``. Accumulation is ordinary
     float64 addition in a fixed sequential order, so results are bitwise
-    reproducible. A slice gradient from :func:`select` is added into its
-    slice of the input's gradient, which starts as zeros.
+    reproducible. A node's first contribution is kept as the VJP returned
+    it, borrowed and never written; the second makes ``first + second`` in
+    a new array that backward owns, and later ones are added to it in place.
+    A slice gradient from :func:`select` is added into its slice of an owned
+    gradient: zeros if it is the first, a copy if the first was borrowed.
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -453,21 +491,33 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
         or tape.nodes[loss.node.idx] is not loss.node
     ):
         raise ValueError("loss was not recorded on this tape")
+    if tape._swept:
+        raise ValueError("this tape was already swept; its VJPs consumed their saved buffers")
+    tape._swept = True
     grads: list = [None] * len(tape.nodes)
+    owned = [False] * len(tape.nodes)
     grads[loss.node.idx] = np.ones_like(loss.data)
+    owned[loss.node.idx] = True
     for node in reversed(tape.nodes):
         g = grads[node.idx]
         if g is None or node.vjp is None:
             continue
         for parent, contrib in zip(node.parents, node.vjp(g)):
+            i = parent.idx
             if isinstance(contrib, _SliceGrad):
-                if grads[parent.idx] is None:
-                    grads[parent.idx] = np.zeros(contrib.shape)
-                np.moveaxis(grads[parent.idx], contrib.axis, 0)[contrib.index] += contrib.g
-            elif grads[parent.idx] is None:
-                grads[parent.idx] = np.array(contrib, dtype=np.float64, copy=True)
+                if grads[i] is None:
+                    grads[i] = np.zeros(contrib.shape)
+                elif not owned[i]:
+                    grads[i] = grads[i].copy()
+                owned[i] = True
+                np.moveaxis(grads[i], contrib.axis, 0)[contrib.index] += contrib.g
+            elif grads[i] is None:
+                grads[i] = contrib
+            elif owned[i]:
+                grads[i] += contrib
             else:
-                grads[parent.idx] += contrib
+                grads[i] = grads[i] + contrib
+                owned[i] = True
     return Gradients(tape, grads)
 
 

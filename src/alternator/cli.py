@@ -149,6 +149,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["deterministic"] = True
     for expr in args.set or []:
         path, value = _parse_set(expr)
+        if path[0] == "task":
+            raise ConfigError(f"--set {expr!r}: 'task' is set by the subcommand, not by --set")
         _apply_set(cfg, path, value)
     _check_types(cfg, DEFAULTS)
     return cfg

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alternator import autodiff as ad
 from alternator.autodiff import Tape, Tensor, backward, finite_difference_check
@@ -241,3 +243,132 @@ def test_mlp_rejects_unknown_activation_and_bad_shapes():
         ad.mlp(x, [(Tensor(np.ones((2, 4))), b)], "tanh")
     with pytest.raises(ShapeError):
         ad.mlp(x, [(w, Tensor(np.ones(3)))], "tanh")
+
+
+# --- one-sweep tapes and borrowed gradients ---------------------------------
+
+def test_second_backward_on_one_tape_raises():
+    # the mlp VJP consumes its saved activations, so a second sweep would be wrong
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(4, 3)))
+    layers = [(Tensor(rng.normal(size=(3, 5))), Tensor(rng.normal(size=5))),
+              (Tensor(rng.normal(size=(5, 2))), Tensor(rng.normal(size=2)))]
+    with Tape() as tape:
+        loss = ad.total_sum(ad.mlp(x, layers, "tanh"))
+    backward(tape, loss)
+    with pytest.raises(ValueError, match="already swept"):
+        backward(tape, loss)
+
+
+def test_gradients_of_results_do_not_share_storage():
+    rng = np.random.default_rng(7)
+    a, b, c = (Tensor(rng.normal(size=3)) for _ in range(3))
+    w, v = rng.normal(size=3), rng.normal(size=3)
+    with Tape() as tape:
+        a_term = ad.total_sum(ad.mul(a, Tensor(w)))   # swept last: a's second contribution
+        ab = ad.add(a, b)                  # its VJP returns the same g for a and b
+        u = ad.add(ab, c)                  # two contributions below: backward owns u's gradient
+        loss = ad.add(ad.add(a_term, ad.total_sum(ad.mul(u, Tensor(w)))),
+                      ad.total_sum(ad.mul(u, Tensor(v))))
+    grads = backward(tape, loss)
+    tensors = [a, b, c, ab, u, a_term, loss]
+    want = [grads.of(t).copy() for t in tensors]
+    assert np.array_equal(want[0], (v + w) + w)
+    for k in (1, 2, 3, 4):
+        assert np.array_equal(want[k], v + w)
+    for k, t in enumerate(tensors):
+        grads.of(t)[...] = np.nan
+        for j, other in enumerate(tensors):
+            if j != k:
+                assert np.array_equal(grads.of(other), want[j])
+
+
+@pytest.mark.parametrize("op", [ad.tanh, ad.gelu])
+def test_standalone_activation_keeps_its_output_through_backward(op):
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(5, 4)))
+    x_before = x.data.copy()
+    with Tape() as tape:
+        y = op(x)
+        loss = ad.total_sum(ad.mul(y, Tensor(rng.normal(size=(5, 4)))))
+    y_before = y.data.copy()
+    backward(tape, loss)
+    assert np.array_equal(y.data, y_before)
+    assert np.array_equal(x.data, x_before)
+
+
+def test_select_gradient_lands_in_its_slice_after_a_borrowed_first_contribution():
+    rng = np.random.default_rng(8)
+    x, c = Tensor(rng.normal(size=(3, 4, 2))), Tensor(rng.normal(size=(3, 4, 2)))
+    g_sel, w = rng.normal(size=(3, 2)), rng.normal(size=(3, 4, 2))
+    with Tape() as tape:
+        y = ad.select(x, 2, axis=1)        # recorded first, so swept after the add below
+        z = ad.add(x, c)                   # x's first contribution is c's gradient array too
+        loss = ad.add(ad.total_sum(ad.mul(y, Tensor(g_sel))),
+                      ad.total_sum(ad.mul(z, Tensor(w))))
+    grads = backward(tape, loss)
+    want = w * 1.0
+    want[:, 2] += g_sel
+    assert np.array_equal(grads.of(x), want)
+    assert np.array_equal(grads.of(c), w * 1.0)
+
+
+# --- properties of the fused mlp and of the VJPs ----------------------------
+
+def _chain(x, layers, activation):
+    act = ad.tanh if activation == "tanh" else ad.gelu
+    h = x
+    for k, (w, b) in enumerate(layers):
+        h = ad.add(ad.matmul(h, w), b)
+        if k < len(layers) - 1:
+            h = act(h)
+    return h
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 40), widths=st.lists(st.integers(1, 9), min_size=3, max_size=5),
+       activation=st.sampled_from(["tanh", "gelu"]), seed=st.integers(0, 2**32 - 1))
+def test_fused_mlp_equals_layer_chain_bitwise(rows, widths, activation, seed):
+    # widths: input, 1-3 hidden widths, output; the output layer is the last pair
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(rows, widths[0])))
+    layers = [(Tensor(rng.normal(size=(n_in, n_out))), Tensor(rng.normal(size=n_out)))
+              for n_in, n_out in zip(widths[:-1], widths[1:])]
+    weight = Tensor(rng.normal(size=(rows, widths[-1])))
+    params = [x] + [t for pair in layers for t in pair]
+    x_before = x.data.copy()
+    results = []
+    for forward in (_chain, ad.mlp):
+        with Tape() as tape:
+            out = forward(x, layers, activation)
+            loss = ad.total_sum(ad.mul(out, weight))
+        out_before = out.data.copy()
+        grads = backward(tape, loss)
+        assert np.array_equal(x.data, x_before)
+        assert np.array_equal(out.data, out_before)
+        results.append([out.data] + [grads.of(p) for p in params])
+    for fused, chain in zip(results[1], results[0]):
+        assert np.array_equal(fused, chain)
+
+
+_UNARY = {"tanh": ad.tanh, "gelu": ad.gelu, "square": ad.square, "neg": ad.neg,
+          "softmax": lambda t: ad.softmax(t, axis=-1)}
+_BINARY = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "matmul": ad.matmul}
+
+
+@settings(max_examples=150, deadline=None)
+@given(op=st.sampled_from(sorted(_UNARY) + sorted(_BINARY)),
+       n=st.integers(1, 4), k=st.integers(1, 4), m=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_random_vjps_match_finite_differences(op, n, k, m, seed):
+    rng = np.random.default_rng(seed)
+    a = Tensor(rng.uniform(-1.5, 1.5, size=(n, k)))
+    b = Tensor(rng.uniform(-1.5, 1.5, size=(k, m) if op == "matmul" else (n, k)))
+    out_shape = (n, m) if op == "matmul" else (n, k)
+    weight = Tensor(rng.uniform(0.5, 2.0, size=out_shape))
+    if op in _UNARY:
+        params, build = [a], lambda: _UNARY[op](a)
+    else:
+        params, build = [a, b], lambda: _BINARY[op](a, b)
+    err = finite_difference_check(lambda: ad.total_sum(ad.mul(build(), weight)), params, h=1e-5)
+    assert err <= 1e-4

@@ -271,6 +271,17 @@ def test_rejected_run_writes_nothing(tiny_cfg, trained_run, tmp_path, task, extr
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("expr", ["task=generate", "task=train", "task=null"])
+def test_set_task_is_config_error(tiny_cfg, tmp_path, capsys, expr):
+    # the subcommand owns the task, as it does when a --config file names one
+    out = tmp_path / "rejected"
+    out.mkdir()
+    code = run_cli("train", "--config", tiny_cfg, "--out", out, "--set", expr)
+    assert code == cli.EXIT_CONFIG
+    assert list(out.iterdir()) == []
+    assert "'task'" in capsys.readouterr().err
+
+
 # --- eval-density ---------------------------------------------------------------
 
 def test_eval_density_self_comparison_is_zero(trained_run, tmp_path):
