@@ -10,17 +10,13 @@ from .autodiff import Tape, Tensor, backward, finite_difference_check
 from .core import (
     AlternationStep,
     AlternatorModel,
-    BatchTrajectories,
     NoiseSchedule,
     alternate,
     build_model,
     default_schedule,
-    encode,
     generate_batch,
     linear_schedule,
     load_model,
-    mean_x,
-    mean_z,
     save_model,
     vanilla_schedule,
 )
@@ -44,7 +40,6 @@ from .metrics import (
 from .networks import (
     Network,
     NetworkSpec,
-    activation_forward,
     init_parameters,
     linear_forward,
     network_forward,

@@ -3,10 +3,11 @@
 Every run resolves its configuration (flags > config file > preset >
 defaults), checks it, writes the resolved tree verbatim next to its outputs,
 and emits machine-readable artifacts only: JSONL metric/loss records and
-long-format CSV dumps. A run rejected by a check writes nothing. The
-encode, impute and forecast sweeps pass the whole dataset (for impute, every
-rate x series row) to one task call, which runs it as one batch. Exit codes
-are stable: 0 success, 2 config or shape error, 3 numeric abort, 4 I/O error.
+long-format CSV dumps. A run rejected by a check writes nothing, not even
+its output directory. The encode, impute and forecast sweeps pass the whole
+dataset (for impute, every rate x series row) to one task call, which runs
+it as one batch. Exit codes are stable: 0 success, 2 config or shape
+error, 3 numeric abort, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -284,6 +285,8 @@ def build_model_from_config(cfg: dict, d_x: int, T: int) -> core.AlternatorModel
 
 
 def _write_config(cfg: dict, out_dir: Path) -> None:
+    # Every task's first write, so a run rejected before it leaves no directory.
+    out_dir.mkdir(parents=True, exist_ok=True)
     with data.atomic_write(out_dir / "config.json", "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -353,8 +356,8 @@ def run_generate(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
         raise ConfigError(f"config key 'generate.horizon' must not exceed the checkpoint's "
                           f"schedule length {model.schedule.T}, got {T}")
     _write_config(cfg, out_dir)
-    batch = core.generate_batch(model, g["n_samples"], T, cfg["seed"])
-    data.save_csv(data.SeriesDataset(batch.xs), out_dir / "samples.csv")
+    samples = core.generate_batch(model, g["n_samples"], T, cfg["seed"])
+    data.save_csv(data.SeriesDataset(samples), out_dir / "samples.csv")
     print(f"generated {g['n_samples']} sequences of length {T} into {out_dir}")
     return EXIT_OK
 
@@ -363,8 +366,8 @@ def run_encode(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
     ds = _task_dataset(cfg, model)
     _write_config(cfg, out_dir)
     seeds = [core.spawn_seed(cfg["seed"], i) for i in range(ds.n_series)]
-    latents = core.encode(model, ds.data, seeds,
-                          mean_propagation=cfg["encode"]["mean_propagation"])
+    latents = core.encode_states(model, ds.data, seeds,
+                                 mean_propagation=cfg["encode"]["mean_propagation"])[0]
     data.save_csv(data.SeriesDataset(latents), out_dir / "latents.csv")
     print(f"encoded {ds.n_series} sequences into {out_dir}")
     return EXIT_OK
@@ -438,7 +441,7 @@ def run_forecast(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
     per_h: dict[str, np.ndarray] = {
         "crps": np.array([[metrics.crps_ensemble(ens.members[i, :, h], truth[i, h])
                            for h in range(H)] for i in range(S)]),
-        "mse": ((ens.mean - truth) ** 2).mean(axis=-1),
+        "mse": ((ens.members.mean(axis=-3) - truth) ** 2).mean(axis=-1),
         "baseline_crps": np.array([[metrics.crps_ensemble(climatology[None, h], truth[i, h])
                                     for h in range(H)] for i in range(S)]),
         "baseline_mse": ((climatology - truth) ** 2).mean(axis=-1),
@@ -472,12 +475,12 @@ def run_eval_density(cfg: dict, out_dir: Path, model: core.AlternatorModel,
     _write_config(cfg, out_dir)
     n = ecfg["n_samples"]
     T = ds.n_steps
-    samples = core.generate_batch(model, n, T, core.spawn_seed(cfg["seed"], 0)).xs
+    samples = core.generate_batch(model, n, T, core.spawn_seed(cfg["seed"], 0))
     writer = MetricWriter(out_dir / "density_metrics.jsonl", "eval-density", cfg["seed"])
     value = mmd_fn(samples, ds.data)
     writer.add("mmd", value, n=n)
     if baseline is not None:
-        base_samples = core.generate_batch(baseline, n, T, core.spawn_seed(cfg["seed"], 0)).xs
+        base_samples = core.generate_batch(baseline, n, T, core.spawn_seed(cfg["seed"], 0))
         base_value = mmd_fn(base_samples, ds.data)
         writer.add("mmd_baseline", base_value, n=n)
         writer.add("mmd_ratio", value / base_value if base_value > 0 else float("inf"), n=n)
@@ -516,7 +519,6 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         cfg = resolve_config(args)
         out_dir = Path(cfg["out"])
-        out_dir.mkdir(parents=True, exist_ok=True)
         if args.task == "train":
             return run_train(cfg, out_dir)
         model = _load_checkpoint(args)

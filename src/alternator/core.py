@@ -292,20 +292,6 @@ def mean_z_components(
     return mu, pred
 
 
-def mean_x(model: AlternatorModel, z_prev, t: int) -> Tensor:
-    """Observation mean at step t given the previous latent state.
-
-    Accepts (d_z,) vectors or (batch, d_z) matrices. Differentiable w.r.t.
-    both contributing networks.
-    """
-    return mean_x_components(model, z_prev, t)[0]
-
-
-def mean_z(model: AlternatorModel, z_prev, x_t, t: int) -> Tensor:
-    """Latent mean at step t from the previous latent and current observation."""
-    return mean_z_components(model, z_prev, x_t, t)[0]
-
-
 @dataclass
 class AlternationStep:
     """The tensors of one alternation step."""
@@ -327,7 +313,6 @@ def alternate(
     observed: "np.ndarray | None" = None,
     eps_x: "np.ndarray | None" = None,
     eps_z: "np.ndarray | None" = None,
-    want_means: bool = False,
     want_noise_preds: bool = False,
     lat_out: "Tensor | None" = None,
 ) -> Iterator[AlternationStep]:
@@ -342,8 +327,7 @@ def alternate(
     (the imputation fill); a partly observed step feeds its mix as a
     constant, without gradient. The carried latent is ``mu_z +
     sigma_z*eps_z``, or ``mu_z`` when ``eps_z`` is None (mean propagation).
-    mu_x is evaluated only where the observation uses it, unless
-    ``want_means`` (the training loss needs it at every step). Under
+    mu_x is evaluated only where the observation uses it. Under
     teacher forcing the caller may pass ``lat_out``, lat_net over all of
     ``data`` computed in one call, (B, step, d_z); step i then reads its
     slice instead of calling lat_net. Raises ConfigError, when iteration
@@ -360,7 +344,7 @@ def alternate(
         obs = data is not None and (observed is None or observed[:, i])
         all_observed = bool(np.all(obs))
         mu_x = p_x = None
-        if want_means or not all_observed:
+        if not all_observed:
             mu_x, p_x = mean_x_components(model, z, t, want_noise_pred=want_noise_preds)
         if all_observed:
             x = Tensor(data[:, i])
@@ -390,21 +374,12 @@ def stack_steps(steps: Iterable[AlternationStep], n: int, *fields: str) -> list[
     return out
 
 
-@dataclass
-class BatchTrajectories:
-    """n generated rollouts: observations, latents (z_0 first), and means."""
-
-    xs: np.ndarray     # (n, T, d_x)
-    zs: np.ndarray     # (n, T+1, d_z)
-    mu_xs: np.ndarray  # (n, T, d_x)
-    mu_zs: np.ndarray  # (n, T, d_z)
-
-
-def generate_batch(model: AlternatorModel, n: int, T: int, seed: int) -> BatchTrajectories:
+def generate_batch(model: AlternatorModel, n: int, T: int, seed: int) -> np.ndarray:
     """Sample n independent trajectories of length T in one vectorized sweep.
 
-    Draw order (fixed for reproducibility): z_0 first, then for each t the
-    n observation noises followed by the n latent noises.
+    Returns the (n, T, d_x) observations. Draw order (fixed for
+    reproducibility): z_0 first, then for each t the n observation noises
+    followed by the n latent noises.
     """
     if T < 1:
         raise ConfigError("horizon must be >= 1")
@@ -414,10 +389,8 @@ def generate_batch(model: AlternatorModel, n: int, T: int, seed: int) -> BatchTr
     split = n * model.d_x
     eps_x = eps[:, :split].reshape(T, n, model.d_x).swapaxes(0, 1)
     eps_z = eps[:, split:].reshape(T, n, model.d_z).swapaxes(0, 1)
-    steps = alternate(model, z0, T, eps_x=eps_x, eps_z=eps_z)
-    xs, zs, mu_xs, mu_zs = stack_steps(steps, T, "x", "z", "mu_x", "mu_z")
-    zs = np.concatenate([z0[:, None], zs], axis=1)
-    return BatchTrajectories(xs=xs, zs=zs, mu_xs=mu_xs, mu_zs=mu_zs)
+    (xs,) = stack_steps(alternate(model, z0, T, eps_x=eps_x, eps_z=eps_z), T, "x")
+    return xs
 
 
 def series_stack(xs, seed, d_x: int, what: str) -> tuple[np.ndarray, list, bool]:
@@ -466,17 +439,6 @@ def encode_states(
         [rng.standard_normal((T, model.d_z)) for rng in rngs])
     mu_zs, zs = stack_steps(alternate(model, z0, T, data=xs, eps_z=eps_z), T, "mu_z", "z")
     return (mu_zs[0], zs[0, -1]) if single else (mu_zs, zs[:, -1])
-
-
-def encode(
-    model: AlternatorModel,
-    xs: np.ndarray,
-    seed: "int | Sequence[int]",
-    mean_propagation: bool = False,
-) -> np.ndarray:
-    """Latent means, (T, d_z) for one sequence or (S, T, d_z) for a stack."""
-    mu_zs, _ = encode_states(model, xs, seed, mean_propagation)
-    return mu_zs
 
 
 # --- checkpoint serialization ------------------------------------------------

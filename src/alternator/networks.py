@@ -103,14 +103,6 @@ def linear_forward(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     return ad.add(ad.matmul(x, weights), bias)
 
 
-def activation_forward(x: Tensor, kind: str) -> Tensor:
-    if kind == "tanh":
-        return ad.tanh(x)
-    if kind == "gelu":
-        return ad.gelu(x)
-    raise ConfigError(f"unknown activation: {kind!r}")
-
-
 def self_attention_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     """Single-head self-attention with residual: softmax(QK^T/sqrt(d)) V + x.
 
@@ -132,11 +124,6 @@ def self_attention_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Ten
 def _attention_weights(x: Tensor, wq: Tensor, wk: Tensor) -> Tensor:
     scores = ad.matmul(ad.matmul(x, wq), ad.transpose(ad.matmul(x, wk)))
     return ad.softmax(ad.scale(scores, 1.0 / np.sqrt(x.data.shape[-1])), axis=-1)
-
-
-def attention_matrix(x: Tensor, wq: Tensor, wk: Tensor) -> np.ndarray:
-    """Row-stochastic attention weights for inspection/testing."""
-    return _attention_weights(x, wq, wk).data
 
 
 def _mlp_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:

@@ -36,10 +36,6 @@ class MARMask:
 
     observed: np.ndarray
 
-    @property
-    def missing_fraction(self) -> float:
-        return float(1.0 - self.observed.mean())
-
     @staticmethod
     def stack(masks: "Sequence[MARMask]") -> "MARMask":
         """One mask over the stack of the masks' series, in order."""
@@ -138,11 +134,6 @@ class EnsembleForecast:
     """Free-running continuations of one encoded context, or of a stack of them."""
 
     members: np.ndarray           # (M, H, d_x), or (S, M, H, d_x) for a stack
-    conditioning_length: int
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.members.mean(axis=-3)
 
 
 def forecast_ensemble(
@@ -186,7 +177,7 @@ def forecast_ensemble(
                       eps_x=noise[..., :model.d_x], eps_z=noise[..., model.d_x:])
     (xs,) = stack_steps(steps, horizon, "x")
     xs = xs.reshape(len(seeds), M, horizon, model.d_x)
-    return EnsembleForecast(members=xs[0] if single else xs, conditioning_length=T_c)
+    return EnsembleForecast(members=xs[0] if single else xs)
 
 
 def climatology_forecast(train_data: np.ndarray, t_start: int, horizon: int) -> np.ndarray:

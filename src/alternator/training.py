@@ -168,7 +168,7 @@ def rollout(
         raise ShapeError(f"batch channel dim {d_x} != model d_x {model.d_x}")
     if free_running:
         steps = list(alternate(model, noise.z0, T, eps_x=noise.eps_x, eps_z=noise.eps_z,
-                               want_means=True, want_noise_preds=want_noise_preds))
+                               want_noise_preds=want_noise_preds))
         fields = ("x", "z", "mu_x", "mu_z") + (("pred_x", "pred_z") if want_noise_preds else ())
         return Rollout(noise, *(ad.stack([getattr(s, f) for s in steps], axis=1) for f in fields))
 
@@ -278,8 +278,8 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-) -> tuple[dict[str, Tensor], AdamState]:
-    """Standard bias-corrected Adam update, applied in place."""
+) -> None:
+    """Standard bias-corrected Adam update of ``params``' arrays and ``state``, in place."""
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.step
@@ -299,7 +299,6 @@ def adam_step(
         v *= b2
         v += (1.0 - b2) * (g * g)
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    return params, state
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr_max: float, lr_min: float) -> float:

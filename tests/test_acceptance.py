@@ -18,8 +18,8 @@ from alternator.core import (
     build_model,
     default_schedule,
     generate_batch,
-    mean_x,
-    mean_z,
+    mean_x_components,
+    mean_z_components,
     vanilla_schedule,
 )
 from alternator.data import synth_ar1, synth_bimodal
@@ -141,8 +141,8 @@ def test_criterion_2_vanilla_degeneration():
         x = rng.normal(size=2)
         want_x = np.sqrt(1.0 - model.schedule.sigma_x**2) * model.obs_net(z).data
         want_z = np.sqrt(float(model.schedule.alpha[t - 1])) * model.lat_net(x).data
-        bitwise_ok &= np.array_equal(mean_x(model, z, t).data, want_x)
-        bitwise_ok &= np.array_equal(mean_z(model, z, x, t).data, want_z)
+        bitwise_ok &= np.array_equal(mean_x_components(model, z, t)[0].data, want_x)
+        bitwise_ok &= np.array_equal(mean_z_components(model, z, x, t)[0].data, want_z)
     report(2, coef_ok and bitwise_ok,
            "noise-model coefficients exactly 0; means match the classic "
            "alternation bitwise")
@@ -225,8 +225,8 @@ def test_criterion_4_loss_additivity():
 def test_criterion_5_density_estimation(density_run):
     t0 = time.time()
     held = density_run["held"].data
-    samples = generate_batch(density_run["model"], 200, 50, seed=999).xs
-    base = generate_batch(density_run["untrained"], 200, 50, seed=999).xs
+    samples = generate_batch(density_run["model"], 200, 50, seed=999)
+    base = generate_batch(density_run["untrained"], 200, 50, seed=999)
     mmd_trained = sequence_mmd(samples, held)
     mmd_untrained = sequence_mmd(base, held)
     elapsed = density_run["train_seconds"] + (time.time() - t0)

@@ -31,6 +31,14 @@ def rel_err(a, b):
     return np.max(np.abs(a - b) / denom)
 
 
+def test_every_exported_name_is_defined_and_callable():
+    # bench/tracing.py wraps each op named here and skips a missing name
+    # silently, so a stale entry would make its op counts read low.
+    assert len(set(ad.__all__)) == len(ad.__all__)
+    for name in ad.__all__:
+        assert callable(getattr(ad, name, None)), name
+
+
 def test_square_gradient_polynomial():
     w = Tensor(np.array(3.0))
     with Tape() as tape:

@@ -268,7 +268,7 @@ def test_rejected_run_writes_nothing(tiny_cfg, trained_run, tmp_path, task, extr
     ckpt = [] if task == "train" else ["--checkpoint", trained_run / "checkpoint.alt"]
     code = run_cli(task, "--config", tiny_cfg, *ckpt, "--out", out, *extra)
     assert code == cli.EXIT_CONFIG
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("expr", ["task=generate", "task=train", "task=null"])
@@ -327,7 +327,7 @@ def test_eval_density_checks_baseline_before_writing(tiny_cfg, trained_run, tmp_
                    "--out", out, "--set", "eval_density.n_samples=4")
     assert code == cli.EXIT_CONFIG
     assert "a checkpoint has 2" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_shape_error_exits_with_config_code(trained_run, tmp_path, capsys, monkeypatch):

@@ -13,13 +13,12 @@ from conftest import constant_network, make_model, zero_network
 from alternator.core import (
     NoiseSchedule,
     alternate,
-    encode,
     encode_states,
     generate_batch,
     linear_schedule,
     load_model,
-    mean_x,
-    mean_z,
+    mean_x_components,
+    mean_z_components,
     save_model,
     vanilla_schedule,
 )
@@ -127,7 +126,7 @@ def test_mean_x_boundary_uses_only_main_network():
     model = make_model(schedule="vanilla", seed=3)
     z = np.array([0.4, -0.2])
     expected = np.sqrt(1.0 - model.schedule.sigma_x**2) * model.obs_net(z).data
-    got = mean_x(model, z, t=1).data
+    got = mean_x_components(model, z, t=1)[0].data
     assert np.array_equal(got, expected)  # bitwise
 
 
@@ -137,7 +136,7 @@ def test_mean_x_zero_noise_coefficient_case():
                           sigma_x=0.5, sigma_z=0.15)
     model = make_model(T=1, sigma_x=0.5, schedule=sched)
     constant_network(model.obs_net, [1.0, 1.0])
-    got = mean_x(model, np.zeros(2), t=1).data
+    got = mean_x_components(model, np.zeros(2), t=1)[0].data
     assert sched.coef_x(1)[1] == 0.0
     assert np.allclose(got, [np.sqrt(0.75), np.sqrt(0.75)], atol=1e-15)
 
@@ -146,14 +145,14 @@ def test_mean_x_zero_networks_gives_zero():
     model = make_model(seed=1)
     zero_network(model.obs_net)
     zero_network(model.obs_noise_net)
-    assert np.array_equal(mean_x(model, np.ones(2), t=2).data, np.zeros(2))
+    assert np.array_equal(mean_x_components(model, np.ones(2), t=2)[0].data, np.zeros(2))
 
 
 def test_mean_z_boundary_independent_of_z_prev():
     model = make_model(schedule="vanilla", seed=5)
     x = np.array([0.7, 0.1])
-    a = mean_z(model, np.zeros(2), x, t=1).data
-    b = mean_z(model, np.full(2, 9.0), x, t=1).data
+    a = mean_z_components(model, np.zeros(2), x, t=1)[0].data
+    b = mean_z_components(model, np.full(2, 9.0), x, t=1)[0].data
     expected = np.sqrt(1.0 - model.schedule.sigma_z**2) * model.lat_net(x).data
     assert np.array_equal(a, b)
     assert np.array_equal(a, expected)
@@ -164,7 +163,7 @@ def test_mean_z_alpha_zero_uses_only_noise_network():
                           sigma_x=0.3, sigma_z=0.15)
     model = make_model(T=1, schedule=sched, seed=6)
     z, x = np.array([0.2, -0.3]), np.array([0.5, 0.5])
-    got = mean_z(model, z, x, t=1).data
+    got = mean_z_components(model, z, x, t=1)[0].data
     c = np.sqrt(1.0 - 0.0 - 0.15**2)
     pred = model.lat_noise_net(np.concatenate([z, x])).data
     assert np.allclose(got, c * pred, atol=1e-15)
@@ -174,7 +173,8 @@ def test_mean_z_zero_networks_gives_zero():
     model = make_model(seed=7)
     zero_network(model.lat_net)
     zero_network(model.lat_noise_net)
-    assert np.array_equal(mean_z(model, np.ones(2), np.ones(2), t=1).data, np.zeros(2))
+    mu_z = mean_z_components(model, np.ones(2), np.ones(2), t=1)[0]
+    assert np.array_equal(mu_z.data, np.zeros(2))
 
 
 def test_mean_ops_reject_invalid_schedule():
@@ -190,9 +190,9 @@ def test_vanilla_dynamics_interpolates_previous_latent():
     z, x = np.array([0.3, -0.6]), np.array([0.2, 0.9])
     sqrt_a, c = model.schedule.coef_z(1)
     expected = sqrt_a * model.lat_net(x).data + c * z
-    assert np.allclose(mean_z(model, z, x, t=1).data, expected, atol=1e-15)
+    assert np.allclose(mean_z_components(model, z, x, t=1)[0].data, expected, atol=1e-15)
     expected_x = np.sqrt(1 - model.schedule.sigma_x**2) * model.obs_net(z).data
-    assert np.array_equal(mean_x(model, z, t=1).data, expected_x)
+    assert np.array_equal(mean_x_components(model, z, t=1)[0].data, expected_x)
 
 
 def _sample_step(model, z, t, noise_x, noise_z):
@@ -244,22 +244,17 @@ def test_sample_step_deterministic(tiny_model):
 # --- the kernel against hand-written per-step loops -----------------------------
 
 def _reference_generate(model, n, T, seed):
-    """The recursion written out, drawing noise step by step."""
+    """The recursion written out, drawing noise step by step; the (n, T, d_x) samples."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, model.d_z))
-    xs, zs, mu_xs, mu_zs = [], [z], [], []
+    xs = []
     for t in range(1, T + 1):
         noise_x = rng.standard_normal((n, model.d_x))
         noise_z = rng.standard_normal((n, model.d_z))
-        mu_x = mean_x(model, z, t).data
-        x = mu_x + model.schedule.sigma_x * noise_x
-        mu_z = mean_z(model, z, x, t).data
-        z = mu_z + model.schedule.sigma_z * noise_z
+        x = mean_x_components(model, z, t)[0].data + model.schedule.sigma_x * noise_x
+        z = mean_z_components(model, z, x, t)[0].data + model.schedule.sigma_z * noise_z
         xs.append(x)
-        zs.append(z)
-        mu_xs.append(mu_x)
-        mu_zs.append(mu_z)
-    return [np.stack(a, axis=1) for a in (xs, zs, mu_xs, mu_zs)]
+    return np.stack(xs, axis=1)
 
 
 def _reference_encode(model, xs, seed, mean_propagation):
@@ -267,9 +262,10 @@ def _reference_encode(model, xs, seed, mean_propagation):
     z = rng.standard_normal(model.d_z)
     mu_zs = []
     for t in range(1, len(xs) + 1):
-        mu_z = mean_z(model, z, xs[t - 1], t).data
+        mu_z = mean_z_components(model, z, xs[t - 1], t)[0].data
         mu_zs.append(mu_z)
-        z = mu_z if mean_propagation else mu_z + model.schedule.sigma_z * rng.standard_normal(model.d_z)
+        z = mu_z if mean_propagation else (
+            mu_z + model.schedule.sigma_z * rng.standard_normal(model.d_z))
     return np.stack(mu_zs), z
 
 
@@ -277,9 +273,7 @@ def _reference_encode(model, xs, seed, mean_propagation):
 def test_generate_batch_matches_reference_loop_bitwise(dynamics):
     model = make_model(d_x=3, d_z=2, T=5, seed=31, dynamics=dynamics)
     got = generate_batch(model, 7, T=5, seed=4)
-    want = _reference_generate(model, 7, 5, seed=4)
-    for name, ref in zip(("xs", "zs", "mu_xs", "mu_zs"), want):
-        assert np.array_equal(getattr(got, name), ref), name
+    assert np.array_equal(got, _reference_generate(model, 7, 5, seed=4))
 
 
 @pytest.mark.parametrize("mean_propagation", [False, True])
@@ -321,9 +315,6 @@ def test_alternate_skips_observation_mean_where_data_is_used(tiny_model):
     assert np.array_equal(s1.x.data, xs[:, 0])
     assert np.array_equal(s2.x.data, [[1.0, s2.mu_x.data[0, 1]]])
     assert s3.x is s3.mu_x                    # no eps_x: the fill is the mean
-    full = alternate(tiny_model, np.zeros((1, 2)), 3, data=xs, observed=observed,
-                     want_means=True)
-    assert all(s.mu_x is not None for s in full)
     lat_out = Tensor(np.zeros((1, 3, 2)))
     with pytest.raises(ConfigError, match="lat_out"):
         next(alternate(tiny_model, np.zeros((1, 2)), 3, data=xs, observed=observed,
@@ -344,18 +335,13 @@ def test_alternate_with_precomputed_lat_out_matches_per_step_lat_net(tiny_model)
 # --- trajectory generation ----------------------------------------------------
 
 def test_generate_shapes(tiny_model):
-    traj = generate_batch(tiny_model, 3, T=4, seed=0)
-    assert traj.xs.shape == (3, 4, 2)
-    assert traj.zs.shape == (3, 5, 2)
-    assert traj.mu_xs.shape == (3, 4, 2)
-    assert traj.mu_zs.shape == (3, 4, 2)
+    assert generate_batch(tiny_model, 3, T=4, seed=0).shape == (3, 4, 2)
 
 
 def test_generate_same_seed_identical(tiny_model):
     a = generate_batch(tiny_model, 2, T=4, seed=11)
     b = generate_batch(tiny_model, 2, T=4, seed=11)
-    assert np.array_equal(a.xs, b.xs)
-    assert np.array_equal(a.zs, b.zs)
+    assert np.array_equal(a, b)
 
 
 def test_generate_rejects_horizon_beyond_schedule(tiny_model):
@@ -378,30 +364,30 @@ def test_generate_monte_carlo_pure_noise_mean():
     model = make_model(d_x=1, d_z=2, T=3, schedule="vanilla", seed=13)
     for net in model.networks().values():
         zero_network(net)
-    batch = generate_batch(model, 10_000, T=3, seed=123)
+    samples = generate_batch(model, 10_000, T=3, seed=123)
     tol = 5.0 * model.schedule.sigma_x / np.sqrt(10_000)
-    assert np.all(np.abs(batch.xs.mean(axis=0)) <= tol)
+    assert np.all(np.abs(samples.mean(axis=0)) <= tol)
 
 
 # --- encoding -------------------------------------------------------------
 
 def test_encode_deterministic(tiny_model):
     xs = np.random.default_rng(1).normal(size=(4, 2))
-    a = encode(tiny_model, xs, seed=5)
-    b = encode(tiny_model, xs, seed=5)
+    a = encode_states(tiny_model, xs, seed=5)[0]
+    b = encode_states(tiny_model, xs, seed=5)[0]
     assert np.array_equal(a, b)
 
 
 def test_encode_shape(tiny_model):
     xs = np.zeros((3, 2))
-    assert encode(tiny_model, xs, seed=0).shape == (3, 2)
+    assert encode_states(tiny_model, xs, seed=0)[0].shape == (3, 2)
 
 
 def test_encode_boundary_schedule_ignores_seed():
     model = make_model(schedule="vanilla", seed=15)
     xs = np.random.default_rng(2).normal(size=(4, 2))
-    a = encode(model, xs, seed=1)
-    b = encode(model, xs, seed=2)
+    a = encode_states(model, xs, seed=1)[0]
+    b = encode_states(model, xs, seed=2)[0]
     expected = np.sqrt(1 - model.schedule.sigma_z**2) * np.stack(
         [model.lat_net(x).data for x in xs]
     )
@@ -411,8 +397,8 @@ def test_encode_boundary_schedule_ignores_seed():
 
 def test_encode_mean_propagation_deterministic_without_seed_effect(tiny_model):
     xs = np.random.default_rng(3).normal(size=(4, 2))
-    a = encode(tiny_model, xs, seed=1, mean_propagation=True)
-    b = encode(tiny_model, xs, seed=1, mean_propagation=True)
+    a = encode_states(tiny_model, xs, seed=1, mean_propagation=True)[0]
+    b = encode_states(tiny_model, xs, seed=1, mean_propagation=True)[0]
     assert np.array_equal(a, b)
 
 

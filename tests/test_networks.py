@@ -11,8 +11,7 @@ from alternator.networks import (
     SELF_ATTENTION,
     Network,
     NetworkSpec,
-    activation_forward,
-    attention_matrix,
+    _attention_weights,
     init_parameters,
     linear_forward,
     network_forward,
@@ -39,16 +38,11 @@ def test_linear_forward_dimension_mismatch():
 
 
 def test_activation_values():
-    assert activation_forward(Tensor([0.0]), "tanh").data[0] == 0.0
-    assert activation_forward(Tensor([0.0]), "gelu").data[0] == 0.0
+    assert ad.tanh(Tensor([0.0])).data[0] == 0.0
+    assert ad.gelu(Tensor([0.0])).data[0] == 0.0
     # large inputs stay inside (-1, 1); beyond ~19 float64 tanh saturates to 1.0 exactly
-    big = activation_forward(Tensor([15.0, -15.0]), "tanh").data
+    big = ad.tanh(Tensor([15.0, -15.0])).data
     assert np.all(np.abs(big) < 1.0)
-
-
-def test_activation_unknown_kind():
-    with pytest.raises(ConfigError):
-        activation_forward(Tensor([0.0]), "relu")
 
 
 def _attention_params(d, seed=0):
@@ -63,7 +57,7 @@ def test_attention_single_token_is_value_plus_residual():
     out = self_attention_forward(x, wq, wk, wv)
     assert out.data.shape == (1, d)
     assert np.allclose(out.data, x.data @ wv.data + x.data, atol=1e-12)
-    assert np.array_equal(attention_matrix(x, wq, wk), [[1.0]])
+    assert np.array_equal(_attention_weights(x, wq, wk).data, [[1.0]])
 
 
 def test_attention_rows_sum_to_one():
@@ -71,7 +65,7 @@ def test_attention_rows_sum_to_one():
     d, T = 4, 6
     wq, wk, wv = _attention_params(d, seed=3)
     x = Tensor(rng.normal(size=(T, d)))
-    A = attention_matrix(x, wq, wk)
+    A = _attention_weights(x, wq, wk).data
     assert np.allclose(A.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -212,14 +206,16 @@ def test_spec_validation():
         NetworkSpec(input_dim=1, output_dim=1, depth=0)
     with pytest.raises(ConfigError):
         NetworkSpec(input_dim=1, output_dim=1, kind="transformer")
+    with pytest.raises(ConfigError, match="unknown activation"):
+        NetworkSpec(input_dim=1, output_dim=1, activation="relu")
 
 
 def _layer_chain(spec, params, x):
     """The MLP as separate linear/activation ops: the reference for the fused op."""
+    act = ad.tanh if spec.activation == "tanh" else ad.gelu
     h = x
     for i in range(spec.depth):
-        h = linear_forward(h, params[f"layer{i}.weight"], params[f"layer{i}.bias"])
-        h = activation_forward(h, spec.activation)
+        h = act(linear_forward(h, params[f"layer{i}.weight"], params[f"layer{i}.bias"]))
     return linear_forward(h, params["out.weight"], params["out.bias"])
 
 

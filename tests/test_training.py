@@ -9,7 +9,13 @@ from conftest import make_model, zero_network
 
 from alternator import autodiff as ad
 from alternator.autodiff import Tape, Tensor, backward, finite_difference_check
-from alternator.core import NoiseSchedule, alternate, default_schedule, vanilla_schedule
+from alternator.core import (
+    NoiseSchedule,
+    alternate,
+    default_schedule,
+    mean_x_components,
+    vanilla_schedule,
+)
 from alternator.data import synth_bimodal
 from alternator.errors import ConfigError, NumericError, ShapeError
 from alternator.networks import MLP, SELF_ATTENTION
@@ -170,32 +176,38 @@ def test_total_loss_additivity_random_batches():
 def _per_step_terms(model, batch, noise, cfg):
     """Reference objective as taped ops, summed step by step over the kernel's steps.
 
-    Every network runs at every step (no precomputed lat_net output); returns
-    [total, alt_z, alt_x, nm_z, nm_x] tensors.
+    Every network runs at every step (no precomputed lat_net output); where
+    the data feeds the step, mu_x and its noise prediction are computed here
+    from the step's previous latent. Returns [total, alt_z, alt_x, nm_z, nm_x]
+    tensors.
     """
     s = model.schedule
     B, T, _ = batch.shape
     w = (model.d_z * s.sigma_z**2) / (model.d_x * s.sigma_x**2)
     steps = alternate(model, noise.z0, T, data=None if cfg.free_running else batch,
-                      eps_x=noise.eps_x, eps_z=noise.eps_z, want_means=True,
-                      want_noise_preds=True)
+                      eps_x=noise.eps_x, eps_z=noise.eps_z, want_noise_preds=True)
     alt_z = alt_x = nm_z = nm_x = Tensor(0.0)
+    z_prev = Tensor(noise.z0)
 
     def sq(a, b):
         return ad.total_sum(ad.square(ad.sub(a, b)))
 
     for i, step in enumerate(steps):
+        mu_x, pred_x = step.mu_x, step.pred_x
+        if mu_x is None:  # teacher forcing
+            mu_x, pred_x = mean_x_components(model, z_prev, i + 1, want_noise_pred=True)
+        z_prev = step.z
         alt_z = ad.add(alt_z, sq(step.z, step.mu_z))
-        alt_x = ad.add(alt_x, sq(step.x, step.mu_x))
+        alt_x = ad.add(alt_x, sq(step.x, mu_x))
         if cfg.noise_target_mode == TRAJECTORY:
             target_z = Tensor(noise.eps_z[:, i])
-            target_x = ad.scale(ad.sub(step.x, step.mu_x), 1.0 / s.sigma_x)
+            target_x = ad.scale(ad.sub(step.x, mu_x), 1.0 / s.sigma_x)
         else:
             target_z, target_x = Tensor(noise.literal_z[:, i]), Tensor(noise.literal_x[:, i])
         nm_z = ad.add(nm_z, sq(target_z, step.pred_z))
         if s.beta[i] != 0.0:
             g = gamma_weight(model.d_x, model.d_z, s.sigma_x, s.sigma_z, s.alpha[i], s.beta[i])
-            nm_x = ad.add(nm_x, ad.scale(sq(target_x, step.pred_x), g))
+            nm_x = ad.add(nm_x, ad.scale(sq(target_x, pred_x), g))
     lam = cfg.noise_weight
     if lam == 0.0:
         nm_z = nm_x = Tensor(0.0)
