@@ -41,7 +41,6 @@ from .networks import (
     Network,
     NetworkSpec,
     init_parameters,
-    linear_forward,
     network_forward,
     self_attention_forward,
 )

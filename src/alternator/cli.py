@@ -167,9 +167,28 @@ _NULLABLE = {
     "generate.horizon": 1,
     "forecast.context_length": 1,
 }
-_AT_LEAST_ONE = ("generate.horizon", "forecast.context_length")
-_POSITIVE = ("train.lr_max", "train.lr_min", "train.adam_eps")
-_NON_NEGATIVE = ("dataset.noise_std",)
+# eval_density.variant v runs metrics.<v>_mmd, looked up when the run calls it, so that
+# a wrapper put on the metrics module's function (the benchmark's tracer) sees the call.
+_MMD_VARIANTS = ("marginal", "sequence")
+# The bounds a value can be checked against before any file is read:
+# name -> (test, what the value must be). A null nullable field is not tested.
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_POSITIVE = (lambda v: v > 0, "> 0")
+_BOUNDS = {
+    "dataset.noise_std": (lambda v: v >= 0, ">= 0"),
+    "train.lr_max": _POSITIVE,
+    "train.lr_min": _POSITIVE,
+    "train.adam_eps": _POSITIVE,
+    "generate.n_samples": _AT_LEAST_ONE,
+    "generate.horizon": _AT_LEAST_ONE,
+    "impute.rates": (lambda v: v and all(0 <= r <= 1 for r in v),
+                     "a non-empty list of rates in [0, 1]"),
+    "impute.n_samples": _AT_LEAST_ONE,
+    "forecast.members": _AT_LEAST_ONE,
+    "forecast.context_length": _AT_LEAST_ONE,
+    "eval_density.variant": (lambda v: v in _MMD_VARIANTS, f"one of {list(_MMD_VARIANTS)}"),
+    "eval_density.n_samples": _AT_LEAST_ONE,
+}
 
 
 def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
@@ -179,8 +198,8 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
     where that is None. bool stays bool, an int field takes only int, a
     float field also takes int but not NaN or infinity, list elements follow
     the default's elements, seeds are non-negative, the fields named in
-    ``_POSITIVE`` and ``_NON_NEGATIVE`` are range-checked, and a field whose
-    default is None is checked against its ``_NULLABLE`` sample.
+    ``_BOUNDS`` must pass its test, and a field whose default is None is
+    checked against its ``_NULLABLE`` sample.
     """
     for key, value in cfg.items():
         name = prefix + key
@@ -191,10 +210,9 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
             if value is None or name not in _NULLABLE:
                 continue
             default = _NULLABLE[name]
+        or_null = " or null" if name in _NULLABLE else ""
         if isinstance(default, dict) and isinstance(value, dict):
             _check_types(value, default, name + ".")
-        elif default is None:
-            continue
         elif value is None and not isinstance(default, dict):
             cfg[key] = copy.deepcopy(default)
         elif not _like(value, default):
@@ -202,17 +220,12 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
             kind = "finite float" if type(elem) is float else type(elem).__name__
             if isinstance(default, list):
                 kind = f"list of {kind}"
-            if name in _NULLABLE:
-                kind += " or null"
-            raise ConfigError(f"config key {name!r} must be {kind}, got {value!r}")
+            raise ConfigError(f"config key {name!r} must be {kind}{or_null}, got {value!r}")
         elif (key == "seed" or key.endswith("_seed")) and value < 0:
             raise ConfigError(f"config key {name!r} must be a non-negative seed, got {value}")
-        elif name in _AT_LEAST_ONE and value < 1:
-            raise ConfigError(f"config key {name!r} must be >= 1 or null, got {value}")
-        elif name in _POSITIVE and value <= 0:
-            raise ConfigError(f"config key {name!r} must be > 0, got {value}")
-        elif name in _NON_NEGATIVE and value < 0:
-            raise ConfigError(f"config key {name!r} must be >= 0, got {value}")
+        elif name in _BOUNDS and not _BOUNDS[name][0](value):
+            raise ConfigError(f"config key {name!r} must be {_BOUNDS[name][1]}{or_null}, "
+                              f"got {value!r}")
 
 
 def _like(value, default) -> bool:
@@ -322,10 +335,10 @@ class MetricWriter:
 
 
 def run_train(cfg: dict, out_dir: Path) -> int:
+    train_cfg = training.TrainConfig(seed=cfg["seed"], **cfg["train"])  # before the dataset
     ds = resolve_dataset(cfg)
     cfg["model"]["d_x"] = ds.n_channels
     model = build_model_from_config(cfg, ds.n_channels, ds.n_steps)
-    train_cfg = training.TrainConfig(seed=cfg["seed"], **cfg["train"])
     _write_config(cfg, out_dir)
     log_path = out_dir / "loss_log.jsonl"
     with open(log_path, "w", encoding="utf-8") as log:
@@ -349,8 +362,6 @@ def _load_checkpoint(args: argparse.Namespace) -> core.AlternatorModel:
 
 def run_generate(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
     g = cfg["generate"]
-    if g["n_samples"] < 1:
-        raise ConfigError(f"config key 'generate.n_samples' must be >= 1, got {g['n_samples']}")
     T = g["horizon"] or model.schedule.T
     if T > model.schedule.T:  # before generate_batch draws noise for every step
         raise ConfigError(f"config key 'generate.horizon' must not exceed the checkpoint's "
@@ -376,12 +387,6 @@ def run_encode(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
 def run_impute(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
     icfg = cfg["impute"]
     rates = icfg["rates"]
-    if not rates:
-        raise ConfigError("config key 'impute.rates' must list at least one rate")
-    if not all(0.0 <= r <= 1.0 for r in rates):
-        raise ConfigError(f"config key 'impute.rates' must lie in [0, 1], got {rates}")
-    if icfg["n_samples"] < 1:
-        raise ConfigError(f"config key 'impute.n_samples' must be >= 1, got {icfg['n_samples']}")
     ds = _task_dataset(cfg, model)
     _write_config(cfg, out_dir)
     # One row per (rate, series), rate-major; each row keeps its own mask and rollout seeds.
@@ -423,8 +428,6 @@ def run_impute(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
 def run_forecast(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
     fcfg = cfg["forecast"]
     M = fcfg["members"]
-    if M < 1:
-        raise ConfigError(f"config key 'forecast.members' must be >= 1, got {M}")
     ds = _task_dataset(cfg, model)
     H = fcfg["horizon"]
     S, T = ds.n_series, ds.n_steps
@@ -463,14 +466,7 @@ def run_forecast(cfg: dict, out_dir: Path, model: core.AlternatorModel) -> int:
 def run_eval_density(cfg: dict, out_dir: Path, model: core.AlternatorModel,
                      baseline: "core.AlternatorModel | None") -> int:
     ecfg = cfg["eval_density"]
-    mmd_fns = {"sequence": metrics.sequence_mmd, "marginal": metrics.marginal_mmd}
-    if ecfg["variant"] not in mmd_fns:
-        raise ConfigError(f"config key 'eval_density.variant' must be one of "
-                          f"{sorted(mmd_fns)}, got {ecfg['variant']!r}")
-    mmd_fn = mmd_fns[ecfg["variant"]]
-    if ecfg["n_samples"] < 1:
-        raise ConfigError(f"config key 'eval_density.n_samples' must be >= 1, "
-                          f"got {ecfg['n_samples']}")
+    mmd_fn = getattr(metrics, f"{ecfg['variant']}_mmd")
     ds = _task_dataset(cfg, model, baseline)
     _write_config(cfg, out_dir)
     n = ecfg["n_samples"]

@@ -50,9 +50,9 @@ _NET_ORDER = ("obs_net", "lat_net", "obs_noise_net", "lat_noise_net")
 class NoiseSchedule:
     """Per-timestep coefficients plus base noise scales, checked at construction.
 
-    Admissible iff 0 <= beta_t <= 1 - sigma_x^2 and 0 <= alpha_t <= 1 -
-    sigma_z^2 for every t (so every square root in the sampling rules is
-    real), with both sigmas in (0, 1). The upper boundary is admitted: there
+    Admissible iff it has at least one step, 0 <= beta_t <= 1 - sigma_x^2
+    and 0 <= alpha_t <= 1 - sigma_z^2 for every t (so every square root in
+    the sampling rules is real), with both sigmas in (0, 1). The upper boundary is admitted: there
     the noise-model coefficient is exactly zero. An inadmissible schedule
     raises ConfigError; ``beta`` and ``alpha`` are read-only copies, so an
     admissible one stays admissible.
@@ -69,8 +69,8 @@ class NoiseSchedule:
             coefs = np.array(getattr(self, name), dtype=np.float64)
             coefs.flags.writeable = False
             object.__setattr__(self, name, coefs)
-        if self.beta.shape != self.alpha.shape or self.beta.ndim != 1:
-            raise ConfigError("beta and alpha must be 1-D and of equal length")
+        if self.beta.shape != self.alpha.shape or self.beta.ndim != 1 or not self.beta.size:
+            raise ConfigError("beta and alpha must be 1-D, non-empty and of equal length")
         for name, coefs, limit in (("beta", self.beta, self.beta_limit),
                                    ("alpha", self.alpha, self.alpha_limit)):
             bad = np.flatnonzero(~((0.0 <= coefs) & (coefs <= limit)))  # NaN fails too
@@ -147,9 +147,7 @@ def default_schedule(
 
 def vanilla_schedule(T: int, sigma_x: float, sigma_z: float) -> NoiseSchedule:
     """Boundary schedule: both noise-model coefficients are exactly zero."""
-    beta = np.full(T, 1.0 - sigma_x**2)
-    alpha = np.full(T, 1.0 - sigma_z**2)
-    return NoiseSchedule(beta=beta, alpha=alpha, sigma_x=sigma_x, sigma_z=sigma_z)
+    return default_schedule(T, sigma_x, sigma_z, (1.0, 1.0), (1.0, 1.0))
 
 
 @dataclass
@@ -255,7 +253,7 @@ def mean_x_components(
     """
     z_prev = _as_tensor(z_prev)
     if model.dynamics == VANILLA_DYNAMICS:
-        sqrt_b, c = np.sqrt(1.0 - model.schedule.sigma_x**2), 0.0
+        sqrt_b, c = np.sqrt(model.schedule.beta_limit), 0.0
     else:
         sqrt_b, c = model.schedule.coef_x(t)
         if isinstance(t, np.ndarray):  # one coefficient per row

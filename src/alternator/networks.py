@@ -88,21 +88,6 @@ def init_parameters(spec: NetworkSpec, seed: int) -> dict[str, Tensor]:
             for name, shape in parameter_shapes(spec)}
 
 
-def linear_forward(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map ``x @ weights + bias`` for ``x`` of shape (batch, in_dim)."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"linear_forward expects (batch, in_dim) input, got {x.shape}")
-    if x.data.shape[1] != weights.data.shape[0]:
-        raise ShapeError(
-            f"linear_forward dimension mismatch: input {x.shape} vs weights {weights.shape}"
-        )
-    if weights.data.shape[1] != bias.data.shape[0]:
-        raise ShapeError(
-            f"linear_forward bias mismatch: weights {weights.shape} vs bias {bias.shape}"
-        )
-    return ad.add(ad.matmul(x, weights), bias)
-
-
 def self_attention_forward(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     """Single-head self-attention with residual: softmax(QK^T/sqrt(d)) V + x.
 
@@ -133,16 +118,18 @@ def _mlp_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor) -> Ten
 
 
 def _attention_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:
-    # x: (B, input_dim) -> tokens (B*input_dim, 1) -> embedded (B, input_dim, hidden)
+    # x: (B, input_dim) -> tokens (B*input_dim, 1) -> embedded (B, input_dim, hidden).
+    # The embedding and the head are affine: the fused op's one-layer case, no activation.
     B = x.data.shape[0]
     tokens = ad.reshape(x, (B * spec.input_dim, 1))
-    h = linear_forward(tokens, params["embed.weight"], params["embed.bias"])
+    h = ad.mlp(tokens, [(params["embed.weight"], params["embed.bias"])], spec.activation)
     h = ad.reshape(h, (B, spec.input_dim, spec.hidden_dim))
     for i in range(spec.depth):
         h = self_attention_forward(
             h, params[f"attn{i}.wq"], params[f"attn{i}.wk"], params[f"attn{i}.wv"]
         )
-    return linear_forward(ad.mean_rows(h), params["out.weight"], params["out.bias"])
+    pooled = ad.mean_rows(h)
+    return ad.mlp(pooled, [(params["out.weight"], params["out.bias"])], spec.activation)
 
 
 def network_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import make_model
 
 import alternator
-from alternator import cli, core, data, training
+from alternator import cli, core, data, metrics, training
 from alternator.core import load_model, spawn_seed
 from alternator.data import load_csv
 from alternator.errors import ShapeError
@@ -469,6 +469,60 @@ def test_config_values_never_end_in_traceback(tiny_cfg, trained_run, tmp_path, t
     assert proc.returncode == code, proc.stderr
     if named is not None:
         assert named in proc.stderr
+
+
+@pytest.mark.parametrize("task, key, value", [
+    ("generate", "generate.n_samples", "0"),
+    ("impute", "impute.rates", "[]"),
+    ("eval-density", "eval_density.variant", "foo"),
+])
+def test_config_checks_run_before_any_file_is_read(tmp_path, capsys, task, key, value):
+    code = run_cli(task, "--checkpoint", tmp_path / "missing.alt", "--out", tmp_path / "o",
+                   "--set", "dataset.kind=csv", "--set", f"dataset.path={tmp_path / 'no.csv'}",
+                   "--set", f"{key}={value}")
+    assert code == cli.EXIT_CONFIG
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_checks_its_train_config_before_reading_the_dataset(tmp_path, capsys):
+    code = run_cli("train", "--out", tmp_path / "o", "--set", "dataset.kind=csv",
+                   "--set", f"dataset.path={tmp_path / 'no.csv'}", "--set", "train.epochs=0")
+    assert code == cli.EXIT_CONFIG
+    assert "epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", ["sequence", "marginal"])
+def test_eval_density_looks_up_the_metric_it_names_when_it_runs(tiny_cfg, trained_run, tmp_path,
+                                                                 monkeypatch, variant):
+    # a wrapper put on the metrics function after import, as a tracer does, sees the call
+    fn = getattr(metrics, f"{variant}_mmd")
+    calls = []
+    monkeypatch.setattr(metrics, f"{variant}_mmd",
+                        lambda *args: calls.append(variant) or fn(*args))
+    assert run_cli("eval-density", "--config", tiny_cfg, "--out", tmp_path / "e",
+                   "--checkpoint", trained_run / "checkpoint.alt",
+                   "--set", f"eval_density.variant={variant}",
+                   "--set", "eval_density.n_samples=4") == cli.EXIT_OK
+    assert calls == [variant]
+
+
+def test_normalized_ar1_run_records_its_norm_and_impute_reuses_it(tmp_path):
+    train_out = tmp_path / "train"
+    assert run_cli("train", "--out", train_out, "--set", "dataset.kind=ar1",
+                   "--set", "dataset.n=4", "--set", "dataset.t=5",
+                   "--set", "dataset.normalize=true", "--set", "train.epochs=1",
+                   "--set", "model.d_z=2", "--set", "model.hidden_dim=4") == cli.EXIT_OK
+    cfg = json.loads((train_out / "config.json").read_text(encoding="utf-8"))
+    d = cfg["dataset"]
+    series = data.synth_ar1(4, 5, d["phi"], d["noise_std"], d["seed"]).data
+    assert d["norm_min"] == series.min(axis=(0, 1)).tolist()
+    assert d["norm_max"] == series.max(axis=(0, 1)).tolist()
+    impute_out = tmp_path / "impute"
+    assert run_cli("impute", "--config", train_out / "config.json",
+                   "--checkpoint", train_out / "checkpoint.alt", "--out", impute_out) == 0
+    reused = json.loads((impute_out / "config.json").read_text(encoding="utf-8"))["dataset"]
+    assert (reused["norm_min"], reused["norm_max"]) == (d["norm_min"], d["norm_max"])
 
 
 def _fail_csv(monkeypatch, path):

@@ -408,12 +408,20 @@ def test_encode_mean_propagation_deterministic_without_seed_effect(tiny_model):
 _SIGMA_X_AT, _BETA_AT = 17, 33
 
 
-def _patch_checkpoint(path, offset, raw):
-    """Overwrite payload bytes at ``offset`` and recompute the CRC, so the file passes it."""
+def _rewrite_checkpoint(path, edit):
+    """Replace the payload with ``edit(payload)`` and recompute the CRC, so the file passes it."""
     blob = path.read_bytes()
-    payload = bytearray(blob[8:-4])
-    payload[offset:offset + len(raw)] = raw
-    path.write_bytes(blob[:8] + bytes(payload) + struct.pack("<I", zlib.crc32(bytes(payload))))
+    payload = bytes(edit(bytearray(blob[8:-4])))
+    path.write_bytes(blob[:8] + payload + struct.pack("<I", zlib.crc32(payload)))
+
+
+def _patch_checkpoint(path, offset, raw):
+    """Overwrite payload bytes at ``offset``, with a recomputed CRC."""
+    def edit(payload):
+        payload[offset:offset + len(raw)] = raw
+        return payload
+
+    _rewrite_checkpoint(path, edit)
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path, tiny_model):
@@ -516,15 +524,56 @@ def test_checkpoint_with_non_utf8_parameter_name_is_checkpoint_error(tmp_path, t
         load_model(path)
 
 
+def test_schedule_rejects_zero_length():
+    with pytest.raises(ConfigError, match="non-empty"):
+        NoiseSchedule(beta=[], alpha=[], sigma_x=0.3, sigma_z=0.15)
+    with pytest.raises(ConfigError, match="length must be >= 1"):
+        vanilla_schedule(0, 0.3, 0.15)
+
+
+def test_checkpoint_with_zero_length_schedule_is_checkpoint_error(tmp_path, tiny_model):
+    path = tmp_path / "model.alt"
+    save_model(tiny_model, path)
+    T = tiny_model.schedule.T
+
+    def drop_schedule(payload):
+        payload[12:16] = struct.pack("<I", 0)
+        del payload[_BETA_AT:_BETA_AT + 16 * T]
+        return payload
+
+    _rewrite_checkpoint(path, drop_schedule)
+    with pytest.raises(CheckpointError, match="header inconsistent with contents"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda payload: payload[:-8], "checkpoint truncated"),
+    (lambda payload: payload + b"\x00", "trailing bytes"),
+    (lambda payload: payload[:16] + b"\x07" + payload[17:], "unknown dynamics flag"),
+])
+def test_checkpoint_with_consistent_crc_but_bad_layout_is_checkpoint_error(tmp_path, tiny_model,
+                                                                          edit, match):
+    path = tmp_path / "model.alt"
+    save_model(tiny_model, path)
+    _rewrite_checkpoint(path, edit)
+    with pytest.raises(CheckpointError, match=match):
+        load_model(path)
+
+
 @pytest.mark.parametrize("field, offset, value, match", [
     ("hidden_dim", 9, 2**20, "does not match its network spec"),
     ("hidden_dim", 9, 2**32 - 1, "does not match its network spec"),
     ("depth", 13, 2**32 - 1, "does not match its network spec"),
     ("depth", 13, 0, "network depth must be >= 1"),
+    # a u8 code patched as a u32 zeroes the next three bytes; the codes are checked first
+    ("kind", 0, 7, "unknown network kind/activation"),
+    ("activation", 17, 7, "unknown network kind/activation"),
+    ("n_params", 18, 5, "fewer parameters than its network spec"),   # the spec has 6
 ])
 def test_checkpoint_with_patched_network_header_allocates_nothing(tmp_path, tiny_model,
                                                                   field, offset, value, match):
-    # network header: kind (u8), input_dim, output_dim, hidden_dim, depth (u32), activation (u8)
+    # network header: kind (u8), input_dim, output_dim, hidden_dim, depth (u32), activation (u8),
+    # then the parameter count (u32)
     path = tmp_path / "model.alt"
     save_model(tiny_model, path)
     first_net = _BETA_AT + 16 * tiny_model.schedule.T

@@ -13,28 +13,27 @@ from alternator.networks import (
     NetworkSpec,
     _attention_weights,
     init_parameters,
-    linear_forward,
     network_forward,
     self_attention_forward,
 )
 
 
-def test_linear_forward_identity_weights():
-    out = linear_forward(Tensor([[1.0, 2.0]]), Tensor(np.eye(2)), Tensor(np.zeros(2)))
+def test_one_layer_mlp_identity_weights():
+    out = ad.mlp(Tensor([[1.0, 2.0]]), [(Tensor(np.eye(2)), Tensor(np.zeros(2)))], "tanh")
     assert np.array_equal(out.data, [[1.0, 2.0]])
 
 
-def test_linear_forward_hand_matrix_multiply():
-    # [[1,1]] @ [[2,0],[0,3]] + [1,1] = [[3,4]]
-    out = linear_forward(
-        Tensor([[1.0, 1.0]]), Tensor([[2.0, 0.0], [0.0, 3.0]]), Tensor([1.0, 1.0])
-    )
-    assert np.array_equal(out.data, [[3.0, 4.0]])
+def test_one_layer_mlp_hand_matrix_multiply():
+    # [[1,1]] @ [[2,0],[0,3]] + [1,1] = [[3,4]]; one layer is affine, no activation
+    for activation in ("tanh", "gelu"):
+        out = ad.mlp(Tensor([[1.0, 1.0]]),
+                     [(Tensor([[2.0, 0.0], [0.0, 3.0]]), Tensor([1.0, 1.0]))], activation)
+        assert np.array_equal(out.data, [[3.0, 4.0]])
 
 
-def test_linear_forward_dimension_mismatch():
-    with pytest.raises(ShapeError):
-        linear_forward(Tensor(np.ones((1, 2))), Tensor(np.ones((3, 2))), Tensor(np.ones(2)))
+def test_one_layer_mlp_dimension_mismatch():
+    with pytest.raises(ShapeError, match="mlp layer 0"):
+        ad.mlp(Tensor(np.ones((1, 2))), [(Tensor(np.ones((3, 2))), Tensor(np.ones(2)))], "tanh")
 
 
 def test_activation_values():
@@ -210,13 +209,56 @@ def test_spec_validation():
         NetworkSpec(input_dim=1, output_dim=1, activation="relu")
 
 
+def _affine(h, params, name):
+    return ad.add(ad.matmul(h, params[f"{name}.weight"]), params[f"{name}.bias"])
+
+
 def _layer_chain(spec, params, x):
-    """The MLP as separate linear/activation ops: the reference for the fused op."""
+    """The MLP as separate matmul/add/activation ops: the reference for the fused op."""
     act = ad.tanh if spec.activation == "tanh" else ad.gelu
     h = x
     for i in range(spec.depth):
-        h = act(linear_forward(h, params[f"layer{i}.weight"], params[f"layer{i}.bias"]))
-    return linear_forward(h, params["out.weight"], params["out.bias"])
+        h = act(_affine(h, params, f"layer{i}"))
+    return _affine(h, params, "out")
+
+
+def _attention_chain(spec, params, x):
+    """The self-attention network as matmul/add/softmax ops, in the network's op order."""
+    B, n, d = x.data.shape[0], spec.input_dim, spec.hidden_dim
+    h = ad.reshape(_affine(ad.reshape(x, (B * n, 1)), params, "embed"), (B, n, d))
+    for i in range(spec.depth):
+        wq, wk, wv = (params[f"attn{i}.{w}"] for w in ("wq", "wk", "wv"))
+        scores = ad.matmul(ad.matmul(h, wq), ad.transpose(ad.matmul(h, wk)))
+        attn = ad.softmax(ad.scale(scores, 1.0 / np.sqrt(d)), axis=-1)
+        h = ad.add(ad.matmul(attn, ad.matmul(h, wv)), h)
+    return _affine(ad.mean_rows(h), params, "out")
+
+
+def _values_and_grads(forward, spec, params, x_data, weight):
+    """The output, the input gradient and every parameter gradient of a weighted sum."""
+    x = Tensor(x_data.copy())
+    with Tape() as tape:
+        out = forward(spec, params, x)
+        loss = ad.total_sum(ad.mul(out, weight))
+    grads = ad.backward(tape, loss)
+    return [out.data, grads.of(x)] + [grads.of(t) for t in params.values()]
+
+
+@pytest.mark.parametrize("activation", ["tanh", "gelu"])
+def test_attention_network_matches_op_chain_bitwise(activation):
+    spec = NetworkSpec(input_dim=3, output_dim=2, hidden_dim=5, depth=2,
+                       kind=SELF_ATTENTION, activation=activation)
+    params = init_parameters(spec, seed=3)
+    rng = np.random.default_rng(4)
+    for t in params.values():
+        t.data += 0.1 * rng.normal(size=t.data.shape)  # nonzero biases
+    x_data = rng.normal(size=(4, 3))
+    weight = Tensor(rng.normal(size=(4, 2)))
+    network = _values_and_grads(network_forward, spec, params, x_data, weight)
+    chain = _values_and_grads(_attention_chain, spec, params, x_data, weight)
+    assert len(network) == len(params) + 2
+    for a, b in zip(network, chain):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "gelu"])
@@ -230,16 +272,10 @@ def test_fused_mlp_matches_layer_chain_bitwise(depth, activation):
         t.data += 0.1 * rng.normal(size=t.data.shape)  # nonzero biases
     x_data = rng.normal(size=(11, 5))
     weight = Tensor(rng.normal(size=(11, 3)))
-    results = []
-    for forward in (_layer_chain, network_forward):
-        x = Tensor(x_data.copy())
-        with Tape() as tape:
-            out = forward(spec, params, x)
-            loss = ad.total_sum(ad.mul(out, weight))
-        grads = ad.backward(tape, loss)
-        results.append([out.data, grads.of(x)] + [grads.of(t) for t in params.values()])
-    for fused, chain in zip(*results):
-        assert np.array_equal(fused, chain)
+    fused = _values_and_grads(network_forward, spec, params, x_data, weight)
+    chain = _values_and_grads(_layer_chain, spec, params, x_data, weight)
+    for a, b in zip(fused, chain):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
