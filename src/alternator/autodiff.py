@@ -9,10 +9,16 @@ record-free, which is what the sampling and evaluation paths use. A VJP
 returns one gradient per input, full-shape, except that :func:`select`
 returns only its slice, which :func:`backward` adds in place.
 
+Two ops fuse what would otherwise be many nodes. :func:`mlp` runs a whole
+MLP as one node. :func:`latent_recursion` runs the teacher-forced latent
+recursion, T steps of one MLP and a few elementwise terms, as one node:
+its forward and VJP loop over the steps in plain numpy. Both share the
+MLP's forward and VJP code, so the arithmetic lives in one place.
+
 The sweep allocates only where the arithmetic needs a new array. The fused
-:func:`mlp` applies tanh in place on its own pre-activation buffer, and its
-VJP turns each saved hidden activation into that layer's gradient in the
-same buffer. A node's VJP may therefore consume what its forward saved, so
+MLP applies tanh in place on its own pre-activation buffer, and its VJP
+turns each saved hidden activation into that layer's gradient in the same
+buffer. A node's VJP may therefore consume what its forward saved, so
 a tape can be swept once: a second :func:`backward` over it raises
 ``ValueError``. :func:`backward` keeps a node's first gradient contribution
 as the VJP returned it (borrowed: it may be another node's gradient, or a
@@ -24,11 +30,11 @@ share storage with each other or with the sweep.
 
 Every operation checks its output for NaN/Inf and raises
 :class:`~alternator.errors.NumericError` instead of letting non-finite
-values propagate silently. The fused :func:`mlp` op checks every affine
-output it computes, each hidden pre-activation and the final output, and
-names the layer in its error; tanh and GELU map finite input to finite
-output, so no activation output needs a check of its own, and an overflow
-that tanh would squash still raises.
+values propagate silently. The fused MLP checks every affine output it
+computes, each hidden pre-activation and the final output, and names the
+layer in its error (:func:`latent_recursion` also names the step); tanh
+and GELU map finite input to finite output, so no activation output needs
+a check of its own, and an overflow that tanh would squash still raises.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ __all__ = [
     "mean_rows",
     "select",
     "mlp",
+    "latent_recursion",
 ]
 
 _TAPE_STACK: list["Tape"] = []
@@ -402,6 +409,53 @@ def select(a: Tensor, index: int, axis: int = 0) -> Tensor:
     return _emit("select", np.take(a.data, index, axis=axis), (a,), vjp)
 
 
+def _mlp_forward(x: np.ndarray, layers, activation: str, where: str):
+    """The fused MLP's forward on arrays: (output, what :func:`_mlp_vjp` needs).
+
+    ``layers`` are (weight, bias) array pairs, the output layer last. Each
+    affine output is checked for finiteness, and an error names ``where``
+    and the layer. tanh is applied in place on each hidden pre-activation.
+    ``x`` is never written.
+    """
+    act = _ACTIVATIONS.get(activation)
+    if act is None:
+        raise ConfigError(f"unknown activation: {activation!r}")
+    last = len(layers) - 1
+    h = x
+    hs, times_derivatives = [], []   # each layer's input, each hidden layer's g -> g * act'
+    for k, (w, b) in enumerate(layers):
+        if h.ndim != 2 or h.shape[1] != w.shape[0] or w.shape[1:] != b.shape:
+            raise ShapeError(f"{where} layer {k}: input {h.shape}, weights {w.shape}, "
+                             f"bias {b.shape}")
+        hs.append(h)
+        h = h @ w
+        h += b
+        _check_finite(h, f"{where} output" if k == last else f"{where} layer {k}")
+        if k < last:
+            h, times_derivative = act(h)
+            times_derivatives.append(times_derivative)
+    return h, (hs, times_derivatives)
+
+
+def _mlp_vjp(g: np.ndarray, layers, saved) -> tuple:
+    """Gradients (input, w_0, b_0, w_1, ...) of the MLP whose forward saved ``saved``.
+
+    Overwrites each saved hidden activation with that layer's gradient once
+    the layer above has used it, so ``saved`` serves one call.
+    """
+    hs, times_derivatives = saved
+    last = len(layers) - 1
+    grads = []
+    for k in range(last, -1, -1):
+        w, b = layers[k]
+        if k < last:
+            g = times_derivatives[k](g)   # may consume hs[k + 1], used by layer k + 1 above
+        grads += (_unbroadcast(g, b.shape), hs[k].swapaxes(-1, -2) @ g)
+        g = g @ w.swapaxes(-1, -2)
+    grads.append(g)
+    return tuple(reversed(grads))
+
+
 def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]], activation: str) -> Tensor:
     """Fused MLP, one tape node: ``h = act(h @ W + b)`` per hidden layer, then ``h @ W + b``.
 
@@ -414,37 +468,99 @@ def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]], activation: str) -> 
     saved activation with that layer's gradient once the layer above has
     used it. ``x.data`` and the output are never written.
     """
-    act = _ACTIVATIONS.get(activation)
-    if act is None:
-        raise ConfigError(f"unknown activation: {activation!r}")
-    last = len(layers) - 1
-    h = x.data
-    hs, times_derivatives = [], []   # each layer's input, each hidden layer's g -> g * act'
-    for k, (w, b) in enumerate(layers):
-        if h.ndim != 2 or h.shape[1] != w.data.shape[0] or w.data.shape[1:] != b.data.shape:
-            raise ShapeError(f"mlp layer {k}: input {h.shape}, weights {w.shape}, bias {b.shape}")
-        hs.append(h)
-        h = h @ w.data
-        h += b.data
-        _check_finite(h, "mlp output" if k == last else f"mlp layer {k}")
-        if k < last:
-            h, times_derivative = act(h)
-            times_derivatives.append(times_derivative)
-    weights = [w.data for w, _ in layers]
-    bias_shapes = [b.data.shape for _, b in layers]
+    arrays = [(w.data, b.data) for w, b in layers]
+    out, saved = _mlp_forward(x.data, arrays, activation, "mlp")
+    inputs = [x] + [t for pair in layers for t in pair]
+    return _record(out, inputs, lambda g: _mlp_vjp(g, arrays, saved))
+
+
+def latent_recursion(
+    lat_out: Tensor,
+    layers: Sequence[tuple[Tensor, Tensor]],
+    activation: str,
+    z0: np.ndarray,
+    data: np.ndarray,
+    z_noise: np.ndarray,
+    coef: tuple[np.ndarray, np.ndarray],
+    vanilla: bool,
+    want_pred: bool,
+) -> Tensor:
+    """The teacher-forced latent recursion over T steps as one tape node.
+
+    With x_t = ``data[:, t-1]`` and (a_t, c_t) = ``coef`` at t-1, step t is
+
+        pred_t = net([z_{t-1}; x_t])                       (the fused MLP ``layers``)
+        mu_t   = a_t * lat_out[:, t-1] + c_t * (z_{t-1} if vanilla else pred_t)
+        z_t    = mu_t + z_noise[:, t-1]
+
+    ``lat_out`` is (B, T, d_z), lat_net over the data; ``z0`` is (B, d_z).
+    Where c_t is exactly 0 the second term is skipped, so the boundary
+    degeneration stays bitwise exact. The network runs at a step when its
+    prediction enters mu_t or ``want_pred`` asks for it. Returns the fields
+    stacked on a new leading axis, (K, B, T, d_z): z_{t-1}, z_t, mu_t, and
+    pred_t when ``want_pred``.
+
+    Forward and VJP do the arithmetic of the per-step chain of
+    select/scale/concat/mlp/add/shift ops in the same order, and the VJP
+    adds each array's contributions in that chain's reverse node order, so
+    values and gradients are bitwise equal to it. Every affine output and
+    every z_t is checked for finiteness; an error names the step.
+    """
+    lat = lat_out.data
+    B, T, d_z = lat.shape
+    a, c = coef
+    weights = [(w.data, b.data) for w, b in layers]
+    runs = [want_pred or (c[i] != 0.0 and not vanilla) for i in range(T)]
+    out = np.empty((4 if want_pred else 3, B, T, d_z))
+    saved = [None] * T
+    z = z0
+    for i in range(T):
+        where = f"latent recursion at t={i + 1}"
+        out[0, :, i] = z
+        mu = lat[:, i] * a[i]
+        if runs[i]:
+            pred, saved[i] = _mlp_forward(np.concatenate([z, data[:, i]], axis=-1), weights,
+                                          activation, f"{where}: lat_noise_net")
+            if want_pred:
+                out[3, :, i] = pred
+        if c[i] != 0.0:
+            mu += (z if vanilla else pred) * c[i]
+        z = _check_finite(mu + z_noise[:, i], f"{where}: z")
+        out[1, :, i] = z
+        out[2, :, i] = mu
 
     def vjp(g):
-        grads = []
-        for k in range(last, -1, -1):
-            if k < last:
-                g = times_derivatives[k](g)   # may consume hs[k + 1], used by layer k + 1 above
-            grads += (_unbroadcast(g, bias_shapes[k]), hs[k].swapaxes(-1, -2) @ g)
-            g = g @ weights[k].swapaxes(-1, -2)
-        grads.append(g)
-        return tuple(reversed(grads))
+        g_lat = np.empty_like(lat)
+        g_weights = None
+        to_prev = []        # step t+1's contributions to z_t, in the chain's order
+        for i in range(T - 1, -1, -1):
+            g_z = g[1, :, i]
+            if i + 1 < T:
+                g_z = g_z + g[0, :, i + 1]
+                for contrib in to_prev:
+                    g_z += contrib
+            g_mu = g[2, :, i] + g_z
+            g_lat[:, i] = g_mu * a[i]
+            to_prev = []
+            if vanilla and c[i] != 0.0:
+                to_prev.append(g_mu * c[i])
+            if not runs[i]:
+                continue
+            g_pred = g[3, :, i] if want_pred else None
+            if c[i] != 0.0 and not vanilla:
+                g_pred = g_mu * c[i] if g_pred is None else g_pred + g_mu * c[i]
+            g_in, *step_grads = _mlp_vjp(g_pred, weights, saved[i])
+            saved[i] = None
+            to_prev.append(g_in[:, :d_z])
+            if g_weights is None:
+                g_weights = step_grads
+            else:
+                for acc, contrib in zip(g_weights, step_grads):
+                    acc += contrib
+        return (g_lat, *(g_weights or ()))
 
-    inputs = [x] + [t for pair in layers for t in pair]
-    return _record(h, inputs, vjp)
+    inputs = [lat_out] + ([t for pair in layers for t in pair] if any(runs) else [])
+    return _record(out, inputs, vjp)
 
 
 class Gradients:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core, data, metrics, tasks, training
+from . import core, data, metrics, networks, tasks, training
 from .errors import CheckpointError, ConfigError, DataError, NumericError, ShapeError
 
 EXIT_OK = 0
@@ -154,6 +154,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"--set {expr!r}: 'task' is set by the subcommand, not by --set")
         _apply_set(cfg, path, value)
     _check_types(cfg, DEFAULTS)
+    m = cfg["model"]
+    if m["kind"] == networks.SELF_ATTENTION and m["activation"] != "tanh":
+        # the attention kind applies no activation, so another value would be a silent no-op
+        raise ConfigError(f"config key 'model.activation' must be 'tanh' with model.kind="
+                          f"'{networks.SELF_ATTENTION}', which applies no activation; "
+                          f"got {m['activation']!r}")
     return cfg
 
 
@@ -174,7 +180,16 @@ _MMD_VARIANTS = ("marginal", "sequence")
 # name -> (test, what the value must be). A null nullable field is not tested.
 _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _POSITIVE = (lambda v: v > 0, "> 0")
+
+
+def _one_of(values: tuple) -> tuple:
+    return (lambda v: v in values, f"one of {list(values)}")
+
+
 _BOUNDS = {
+    "model.kind": _one_of(networks.KINDS),
+    "model.activation": _one_of(networks.ACTIVATIONS),
+    "model.dynamics": _one_of(core.DYNAMICS),
     "dataset.noise_std": (lambda v: v >= 0, ">= 0"),
     "train.lr_max": _POSITIVE,
     "train.lr_min": _POSITIVE,
@@ -186,7 +201,7 @@ _BOUNDS = {
     "impute.n_samples": _AT_LEAST_ONE,
     "forecast.members": _AT_LEAST_ONE,
     "forecast.context_length": _AT_LEAST_ONE,
-    "eval_density.variant": (lambda v: v in _MMD_VARIANTS, f"one of {list(_MMD_VARIANTS)}"),
+    "eval_density.variant": _one_of(_MMD_VARIANTS),
     "eval_density.n_samples": _AT_LEAST_ONE,
 }
 

@@ -42,6 +42,7 @@ from .networks import (
 
 NOISE_MODEL_DYNAMICS = "noise_models"
 VANILLA_DYNAMICS = "vanilla"
+DYNAMICS = (NOISE_MODEL_DYNAMICS, VANILLA_DYNAMICS)
 
 _NET_ORDER = ("obs_net", "lat_net", "obs_noise_net", "lat_noise_net")
 
@@ -175,7 +176,7 @@ class AlternatorModel:
     dynamics: str = NOISE_MODEL_DYNAMICS
 
     def __post_init__(self):
-        if self.dynamics not in (NOISE_MODEL_DYNAMICS, VANILLA_DYNAMICS):
+        if self.dynamics not in DYNAMICS:
             raise ConfigError(f"unknown dynamics: {self.dynamics!r}")
         checks = (
             (self.obs_net, self.d_z, self.d_x),
@@ -269,19 +270,17 @@ def mean_x_components(
 
 
 def mean_z_components(
-    model: AlternatorModel, z_prev, x_t, t: int, want_noise_pred: bool = False,
-    lat_out: "Tensor | None" = None,
+    model: AlternatorModel, z_prev, x_t, t: int, want_noise_pred: bool = False
 ) -> tuple[Tensor, "Tensor | None"]:
     """(mu_z, latent-noise prediction) at step t; see mean_x_components.
 
-    ``lat_out`` is lat_net(x_t) when the caller has it already. Under
-    vanilla dynamics the second coefficient multiplies z_{t-1}.
+    Under vanilla dynamics the second coefficient multiplies z_{t-1}.
     """
     z_prev = _as_tensor(z_prev)
     x_t = _as_tensor(x_t)
     vanilla = model.dynamics == VANILLA_DYNAMICS
     sqrt_a, c = model.schedule.coef_z(t)
-    mu = ad.scale(model.lat_net(x_t) if lat_out is None else lat_out, sqrt_a)
+    mu = ad.scale(model.lat_net(x_t), sqrt_a)
     pred = None
     if (c != 0.0 and not vanilla) or want_noise_pred:
         pred = model.lat_noise_net(ad.concat([z_prev, x_t], axis=-1))
@@ -312,7 +311,6 @@ def alternate(
     eps_x: "np.ndarray | None" = None,
     eps_z: "np.ndarray | None" = None,
     want_noise_preds: bool = False,
-    lat_out: "Tensor | None" = None,
 ) -> Iterator[AlternationStep]:
     """Run steps t0+1 .. t0+steps of the alternation over a batch of latents.
 
@@ -325,17 +323,12 @@ def alternate(
     (the imputation fill); a partly observed step feeds its mix as a
     constant, without gradient. The carried latent is ``mu_z +
     sigma_z*eps_z``, or ``mu_z`` when ``eps_z`` is None (mean propagation).
-    mu_x is evaluated only where the observation uses it. Under
-    teacher forcing the caller may pass ``lat_out``, lat_net over all of
-    ``data`` computed in one call, (B, step, d_z); step i then reads its
-    slice instead of calling lat_net. Raises ConfigError, when iteration
-    starts, if the steps run past the schedule.
+    mu_x is evaluated only where the observation uses it. Raises
+    ConfigError, when iteration starts, if the steps run past the schedule.
     """
     s = model.schedule
     if t0 + steps > s.T:
         raise ConfigError(f"steps {t0 + 1}..{t0 + steps} exceed schedule length {s.T}")
-    if lat_out is not None and (data is None or observed is not None):
-        raise ConfigError("a precomputed lat_out needs fully observed data")
     z = _as_tensor(z0)
     for i in range(steps):
         t = t0 + i + 1
@@ -350,9 +343,7 @@ def alternate(
             x = mu_x if eps_x is None else ad.shift(mu_x, s.sigma_x * eps_x[:, i])
             if np.any(obs):
                 x = Tensor(np.where(obs, data[:, i], x.data))
-        mu_z, p_z = mean_z_components(
-            model, z, x, t, want_noise_pred=want_noise_preds,
-            lat_out=None if lat_out is None else ad.select(lat_out, i, axis=1))
+        mu_z, p_z = mean_z_components(model, z, x, t, want_noise_pred=want_noise_preds)
         z = mu_z if eps_z is None else ad.shift(mu_z, s.sigma_z * eps_z[:, i])
         yield AlternationStep(x, z, mu_x, mu_z, p_x, p_z)
 

@@ -12,8 +12,12 @@ kinds run a whole (batch, input_dim) input at once: attention works on a
 forward records the same tape nodes at any batch size.
 
 Of the model's four networks, training under teacher forcing runs lat_net,
-obs_net and obs_noise_net once per batch over all (batch * steps) rows;
-only lat_noise_net runs once per step (see :func:`alternator.training.rollout`).
+obs_net and obs_noise_net once per batch over all (batch * steps) rows,
+and lat_noise_net once per step. An MLP lat_noise_net runs on its
+:func:`mlp_layers` inside the one-node
+:func:`alternator.autodiff.latent_recursion`, not through this module;
+the self-attention kind calls lat_net and lat_noise_net here at every step
+(see :func:`alternator.training.rollout`).
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .errors import ConfigError, ShapeError
 
 MLP = "mlp"
 SELF_ATTENTION = "self_attention"
+KINDS = (MLP, SELF_ATTENTION)
 
 ACTIVATIONS = ("tanh", "gelu")
 
@@ -45,7 +50,7 @@ class NetworkSpec:
     activation: str = "tanh"
 
     def __post_init__(self):
-        if self.kind not in (MLP, SELF_ATTENTION):
+        if self.kind not in KINDS:
             raise ConfigError(f"unknown network kind: {self.kind!r}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation: {self.activation!r}")
@@ -111,10 +116,15 @@ def _attention_weights(x: Tensor, wq: Tensor, wk: Tensor) -> Tensor:
     return ad.softmax(ad.scale(scores, 1.0 / np.sqrt(x.data.shape[-1])), axis=-1)
 
 
-def _mlp_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:
+def mlp_layers(spec: NetworkSpec, params: dict[str, Tensor]) -> list[tuple[Tensor, Tensor]]:
+    """The (weight, bias) pairs of an MLP network, the output layer last."""
     layers = [(params[f"layer{i}.weight"], params[f"layer{i}.bias"]) for i in range(spec.depth)]
     layers.append((params["out.weight"], params["out.bias"]))
-    return ad.mlp(x, layers, spec.activation)
+    return layers
+
+
+def _mlp_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:
+    return ad.mlp(x, mlp_layers(spec, params), spec.activation)
 
 
 def _attention_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:

@@ -492,6 +492,47 @@ def test_train_checks_its_train_config_before_reading_the_dataset(tmp_path, caps
     assert "epochs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("model.kind", "foo"), ("model.activation", "relu"), ("model.dynamics", "foo"),
+])
+def test_train_checks_model_values_before_reading_the_dataset(tmp_path, capsys, key, value):
+    code = run_cli("train", "--out", tmp_path / "o", "--set", "dataset.kind=csv",
+                   "--set", f"dataset.path={tmp_path / 'no.csv'}", "--set", f"{key}={value}")
+    assert code == cli.EXIT_CONFIG
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_attention_kind_rejects_an_activation_it_would_not_apply(tmp_path, capsys):
+    attention = ["--set", "model.kind=self_attention"]
+    code = run_cli("train", *_TINY_TRAIN, *attention, "--set", "model.activation=gelu",
+                   "--out", tmp_path / "o")
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'model.activation'" in err and "model.kind" in err
+    assert not (tmp_path / "o").exists()
+    assert run_cli("train", *_TINY_TRAIN, *attention, "--out", tmp_path / "t") == cli.EXIT_OK
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_latent_recursion_overflow_is_numeric_abort(tmp_path, monkeypatch, capsys):
+    build = cli.build_model_from_config
+
+    def with_huge_weight(cfg, d_x, T):
+        model = build(cfg, d_x, T)
+        # the weight on x_t in lat_noise_net's first layer; every x_t is 5
+        model.lat_noise_net.params["layer0.weight"].data[model.d_z, 0] = 1e308
+        return model
+
+    monkeypatch.setattr(cli, "build_model_from_config", with_huge_weight)
+    path = tmp_path / "fives.csv"
+    data.save_csv(data.SeriesDataset(np.full((2, 3, 1), 5.0)), path)
+    code = run_cli("train", *_TINY_TRAIN, "--set", "dataset.kind=csv",
+                   "--set", f"dataset.path={path}", "--out", tmp_path / "o")
+    assert code == cli.EXIT_NUMERIC
+    assert "t=1: lat_noise_net layer 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("variant", ["sequence", "marginal"])
 def test_eval_density_looks_up_the_metric_it_names_when_it_runs(tiny_cfg, trained_run, tmp_path,
                                                                  monkeypatch, variant):

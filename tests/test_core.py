@@ -22,7 +22,6 @@ from alternator.core import (
     save_model,
     vanilla_schedule,
 )
-from alternator.autodiff import Tensor
 from alternator.errors import CheckpointError, ConfigError, ShapeError
 
 
@@ -315,21 +314,6 @@ def test_alternate_skips_observation_mean_where_data_is_used(tiny_model):
     assert np.array_equal(s1.x.data, xs[:, 0])
     assert np.array_equal(s2.x.data, [[1.0, s2.mu_x.data[0, 1]]])
     assert s3.x is s3.mu_x                    # no eps_x: the fill is the mean
-    lat_out = Tensor(np.zeros((1, 3, 2)))
-    with pytest.raises(ConfigError, match="lat_out"):
-        next(alternate(tiny_model, np.zeros((1, 2)), 3, data=xs, observed=observed,
-                       lat_out=lat_out))
-
-
-def test_alternate_with_precomputed_lat_out_matches_per_step_lat_net(tiny_model):
-    xs = np.random.default_rng(6).normal(size=(3, 4, 2))
-    eps_z = np.random.default_rng(7).normal(size=(3, 4, 2))
-    z0 = np.zeros((3, 2))
-    lat_out = Tensor(tiny_model.lat_net(xs.reshape(12, 2)).data.reshape(3, 4, 2))
-    ref = list(alternate(tiny_model, z0, 4, data=xs, eps_z=eps_z))
-    got = list(alternate(tiny_model, z0, 4, data=xs, eps_z=eps_z, lat_out=lat_out))
-    for a, b in zip(ref, got):
-        np.testing.assert_allclose(b.z.data, a.z.data, rtol=1e-12, atol=1e-15)
 
 
 # --- trajectory generation ----------------------------------------------------

@@ -264,17 +264,72 @@ def test_total_loss_matches_per_step_reference_vanilla_and_one_series(dynamics, 
 
 @pytest.mark.parametrize("T", [2, 6])
 def test_teacher_forced_tape_size_is_linear_in_steps(T):
-    # Under teacher forcing only lat_noise_net runs per step: each step records
-    # 8 nodes (select, scale, data leaf, concat, mlp, scale, add, shift), less 2
-    # at the default schedule's last step, on the boundary, where the noise
-    # term's scale and add are skipped. The other 66 are the three batched
-    # networks, the stacks, the loss terms and the parameter and noise leaves.
+    # The whole latent recursion is one tape node, so the per-step term is
+    # zero: the tape holds the three batched networks, the recursion, the
+    # field selects, the loss terms and the parameter and noise leaves, 65
+    # nodes at any T.
     model = make_model(d_x=1, d_z=3, T=T, hidden_dim=5, seed=25)
     batch = np.random.default_rng(26).normal(size=(4, T, 1))
     noise = draw_rollout_noise(np.random.default_rng(27), 4, T, 1, 3)
     with Tape() as tape:
         total_loss(model, batch, TrainConfig(epochs=1, batch_size=4), noise)
-    assert len(tape.nodes) == 8 * T + 64
+    assert len(tape.nodes) == 0 * T + 65
+
+
+def _reference_recursion(lat_out, layers, activation, z0, data, z_noise, coef, vanilla,
+                         want_pred):
+    """ad.latent_recursion as a chain of public ops, one step at a time."""
+    sqrt_a, c = coef
+    z = Tensor(z0)
+    fields = ([], [], [], [])          # z_prev, z, mu_z, pred_z
+    for i in range(data.shape[1]):
+        fields[0].append(z)
+        mu = ad.scale(ad.select(lat_out, i, axis=1), sqrt_a[i])
+        pred = None
+        if want_pred or (c[i] != 0.0 and not vanilla):
+            pred = ad.mlp(ad.concat([z, Tensor(data[:, i])], axis=-1), layers, activation)
+        if c[i] != 0.0:
+            mu = ad.add(mu, ad.scale(z if vanilla else pred, c[i]))
+        z = ad.shift(mu, z_noise[:, i])
+        for field, value in zip(fields[1:], (z, mu, pred)):
+            field.append(value)
+    kept = fields if want_pred else fields[:3]
+    return ad.stack([ad.stack(f, axis=1) for f in kept], axis=0)
+
+
+@pytest.mark.parametrize("B", [1, 5])
+@pytest.mark.parametrize("alpha_span", [(0.1, 1.0), (0.1, 0.9)])  # boundary at t=T, none
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+@pytest.mark.parametrize("dynamics", ["noise_models", "vanilla"])
+def test_latent_recursion_matches_op_chain_bitwise(monkeypatch, dynamics, lam, alpha_span, B):
+    model = make_model(d_x=2, d_z=3, T=5, seed=28, dynamics=dynamics,
+                       schedule=default_schedule(5, 0.3, 0.15, alpha_span=alpha_span))
+    rng = np.random.default_rng(29)
+    batch = rng.normal(size=(B, 5, 2))
+    noise = draw_rollout_noise(rng, B, 5, 2, 3)
+    cfg = TrainConfig(epochs=1, batch_size=B, noise_weight=lam)
+    params = model.named_parameters()
+
+    def run(recursion):
+        seen = {}
+
+        def spy(lat_out, *args, **kwargs):
+            seen["lat_out"] = lat_out
+            seen["out"] = recursion(lat_out, *args, **kwargs)
+            return seen["out"]
+
+        monkeypatch.setattr(ad, "latent_recursion", spy)
+        with Tape() as tape:
+            loss, _ = total_loss(model, batch, cfg, noise)
+        grads = backward(tape, loss)
+        return ([loss.data, seen["out"].data, grads.of(seen["lat_out"])]
+                + [grads.of(p) for p in params.values()])
+
+    got = run(ad.latent_recursion)
+    want = run(_reference_recursion)
+    assert got[1].shape[0] == (4 if lam > 0 else 3)   # z_prev, z, mu_z (, pred_z)
+    for name, a, b in zip(["loss", "fields", "lat_out"] + list(params), got, want):
+        assert np.array_equal(a, b), name
 
 
 def test_zero_networks_zero_data_vanilla_schedule_kills_observation_term():
@@ -299,14 +354,16 @@ def test_teacher_forcing_feeds_data_free_running_feeds_samples():
     assert np.array_equal(r_fr.x.data, expected)
 
 
-@pytest.mark.parametrize("mode,free_running,kind", [
-    pytest.param(TRAJECTORY, False, MLP, id="trajectory-False"),
-    pytest.param(LITERAL, False, MLP, id="literal-False"),
-    pytest.param(TRAJECTORY, True, MLP, id="trajectory-True"),
-    pytest.param(TRAJECTORY, True, SELF_ATTENTION, id="trajectory-True-self_attention"),
+@pytest.mark.parametrize("mode,free_running,kind,dynamics", [
+    pytest.param(TRAJECTORY, False, MLP, "noise_models", id="trajectory-False"),
+    pytest.param(LITERAL, False, MLP, "noise_models", id="literal-False"),
+    pytest.param(TRAJECTORY, True, MLP, "noise_models", id="trajectory-True"),
+    pytest.param(TRAJECTORY, True, SELF_ATTENTION, "noise_models",
+                 id="trajectory-True-self_attention"),
+    pytest.param(TRAJECTORY, False, MLP, "vanilla", id="trajectory-False-vanilla"),
 ])
-def test_total_loss_gradients_match_finite_differences(mode, free_running, kind):
-    model = make_model(d_x=2, d_z=2, T=2, hidden_dim=3, seed=7, kind=kind)
+def test_total_loss_gradients_match_finite_differences(mode, free_running, kind, dynamics):
+    model = make_model(d_x=2, d_z=2, T=2, hidden_dim=3, seed=7, kind=kind, dynamics=dynamics)
     batch = np.random.default_rng(4).uniform(-1, 1, size=(2, 2, 2))
     noise = draw_rollout_noise(
         np.random.default_rng(5), 2, 2, 2, 2, mode=mode, free_running=free_running
@@ -458,6 +515,17 @@ def test_train_nan_abort_names_epoch():
     model.obs_net.params["out.weight"].data[:] = 1e200
     with pytest.raises(NumericError, match="epoch 1"):
         train(model, _toy_dataset(), TrainConfig(epochs=1, batch_size=4, seed=5))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_latent_recursion_overflow_names_lat_noise_net_and_step():
+    model = make_model(d_x=1, d_z=2, T=6, seed=15)
+    model.lat_noise_net.params["layer0.weight"].data[2, 0] = 1e308   # the x_t input row
+    batch = np.zeros((2, 6, 1))
+    batch[:, 2] = 5.0                                              # x_3 overflows it
+    noise = draw_rollout_noise(np.random.default_rng(16), 2, 6, 1, 2)
+    with pytest.raises(NumericError, match=r"t=3: lat_noise_net layer 0"):
+        total_loss(model, batch, TrainConfig(epochs=1, batch_size=2), noise)
 
 
 def test_train_rejects_empty_dataset():
