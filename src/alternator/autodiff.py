@@ -20,11 +20,15 @@ MLP applies tanh in place on its own pre-activation buffer, and its VJP
 turns each saved hidden activation into that layer's gradient in the same
 buffer. A node's VJP may therefore consume what its forward saved, so
 a tape can be swept once: a second :func:`backward` over it raises
-``ValueError``. :func:`backward` keeps a node's first gradient contribution
-as the VJP returned it (borrowed: it may be another node's gradient, or a
-view of one) and never writes into it. A second contribution makes a new
-array that backward owns, and later ones are added to that in place, so
-the float64 additions are the same as when every first contribution was
+``ValueError``. The sweep drops each node's VJP once it has run, and with
+it the buffers its forward saved, so a graph's activations are freed while
+the sweep runs; the gradients stay until it ends, since
+:meth:`Gradients.of` answers for every tensor on the tape.
+:func:`backward` keeps a node's first gradient contribution as the VJP
+returned it (borrowed: it may be another node's gradient, or a view of
+one) and never writes into it. A second contribution makes a new array
+that backward owns, and later ones are added to that in place, so the
+float64 additions are the same as when every first contribution was
 copied. :meth:`Gradients.of` hands out a copy, so no two of its results
 share storage with each other or with the sweep.
 
@@ -591,6 +595,8 @@ class Gradients:
 def backward(tape: Tape, loss: Tensor) -> Gradients:
     """Reverse sweep from ``loss`` over ``tape``; a tape can be swept once.
 
+    Each node's VJP is dropped once it has run (or skipped, for a node the
+    loss does not reach), which frees the buffers its forward saved.
     ``loss`` must be a scalar recorded on ``tape``. Accumulation is ordinary
     float64 addition in a fixed sequential order, so results are bitwise
     reproducible. A node's first contribution is kept as the VJP returned
@@ -615,10 +621,11 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
     grads[loss.node.idx] = np.ones_like(loss.data)
     owned[loss.node.idx] = True
     for node in reversed(tape.nodes):
+        vjp, node.vjp = node.vjp, None    # with it go the buffers its forward saved
         g = grads[node.idx]
-        if g is None or node.vjp is None:
+        if g is None or vjp is None:
             continue
-        for parent, contrib in zip(node.parents, node.vjp(g)):
+        for parent, contrib in zip(node.parents, vjp(g)):
             i = parent.idx
             if isinstance(contrib, _SliceGrad):
                 if grads[i] is None:

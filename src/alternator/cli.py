@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import dataclasses
 import json
 import math
@@ -525,8 +526,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_pages() -> None:
+    """Have glibc's malloc keep freed memory for reuse instead of returning it.
+
+    A training step frees its graph while backward runs. By default glibc
+    then trims that memory off the top of the heap, and the next step's
+    forward faults each page back in, at 1-2.4 us of system time a fault
+    on a 2-CPU x86 VM: over 4 density-regime epochs that is 69,438 minor
+    faults, and 30 with the pages kept. Every block up to 32 MiB (glibc's 64-bit maximum) is served
+    from the heap, and the heap is trimmed only once 1 GiB at its top is
+    free; setting either also turns off glibc's dynamic thresholds. Where
+    the C library has no ``mallopt``, nothing changes. Called from
+    :func:`main`, so importing the package leaves the allocator alone.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 * 2**20)       # M_MMAP_THRESHOLD
+        mallopt(-1, 2**30)            # M_TRIM_THRESHOLD
+
+
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_freed_pages()
     try:
         cfg = resolve_config(args)
         out_dir = Path(cfg["out"])

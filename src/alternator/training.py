@@ -20,6 +20,11 @@ recursion, forward and backward, is the one tape node
 in plain numpy; the self-attention kind records its ops step by step.
 Free running calls all four networks at every step.
 
+One step's graph is alive at a time: :func:`alternator.autodiff.backward`
+frees each node's saved buffers as it sweeps, and :func:`train` drops the
+tape, loss and gradients before the Adam update, so the next step's
+forward never runs while the last step's graph is held.
+
 Latents are rolled out per batch (z_0 standard normal, z_t sampled from the
 model); observations feed the rollout from the training data by default
 (teacher forcing), or from the model's own samples under ``free_running``.
@@ -370,6 +375,7 @@ def train(
             except NumericError as exc:
                 raise NumericError(f"training aborted at epoch {epoch}: {exc}") from exc
             named_grads = {name: grads.of(p) for name, p in params.items()}
+            del tape, loss, grads         # the step's graph dies before the next one is built
             adam_step(params, named_grads, state, lr)
             sums += len(idx) * np.array(astuple(breakdown))
         avg = sums / N

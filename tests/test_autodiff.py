@@ -1,5 +1,7 @@
 """Gradient and contract tests for the autodiff substrate."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,6 +268,28 @@ def test_second_backward_on_one_tape_raises():
     backward(tape, loss)
     with pytest.raises(ValueError, match="already swept"):
         backward(tape, loss)
+
+
+def test_backward_frees_what_the_forward_saved():
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(4096, 3)))
+    dims = (3, 64, 64, 2)
+    layers = [(Tensor(rng.normal(size=(n_in, n_out)) / np.sqrt(n_in)),
+               Tensor(rng.normal(size=n_out))) for n_in, n_out in zip(dims[:-1], dims[1:])]
+    hidden = 2 * 4096 * 64 * 8               # the two (4096, 64) activations the forward saves
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = ad.total_sum(ad.mlp(x, layers, "tanh"))
+        before = tracemalloc.get_traced_memory()[0]
+        grads = backward(tape, loss)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # tape, loss and grads are alive; what the sweep keeps is the gradients,
+    # 0.2 MiB ((4096, 2) for the output, (4096, 3) for x, the weights')
+    assert before - after > hidden - 2**18, (before, after)
+    assert grads.of(x).shape == x.shape
 
 
 def test_gradients_of_results_do_not_share_storage():

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import io
 import json
@@ -187,6 +188,33 @@ def test_generate_dumps_requested_samples(trained_run, tmp_path):
     assert code == 0
     ds = load_csv(out / "samples.csv")
     assert ds.data.shape == (5, 8, 1)
+
+
+def test_generate_without_mallopt_writes_the_same_bytes(trained_run, tmp_path, monkeypatch):
+    argv = ["generate", "--checkpoint", trained_run / "checkpoint.alt", "--seed", 3,
+            "--set", "generate.n_samples=5"]
+    assert run_cli(*argv, "--out", tmp_path / "glibc") == 0
+    opened = []
+
+    class NoMallopt:                  # a C library without mallopt, as outside glibc
+        def __init__(self, name):
+            opened.append(name)
+
+    monkeypatch.setattr(ctypes, "CDLL", NoMallopt)
+    assert run_cli(*argv, "--out", tmp_path / "bare") == 0
+    assert opened == [None]
+    samples = [(tmp_path / d / "samples.csv").read_bytes() for d in ("glibc", "bare")]
+    assert samples[0] == samples[1]
+
+
+def test_import_leaves_the_allocator_alone():
+    code = ("import ctypes\n"
+            "opened = []\n"
+            "ctypes.CDLL = lambda *a, **k: opened.append(a)\n"
+            "import alternator, alternator.cli\n"
+            "assert opened == [], opened\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(alternator.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_encode_dumps_latents(tiny_cfg, trained_run, tmp_path):
