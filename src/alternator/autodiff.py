@@ -21,16 +21,16 @@ turns each saved hidden activation into that layer's gradient in the same
 buffer. A node's VJP may therefore consume what its forward saved, so
 a tape can be swept once: a second :func:`backward` over it raises
 ``ValueError``. The sweep drops each node's VJP once it has run, and with
-it the buffers its forward saved, so a graph's activations are freed while
-the sweep runs; the gradients stay until it ends, since
-:meth:`Gradients.of` answers for every tensor on the tape.
-:func:`backward` keeps a node's first gradient contribution as the VJP
-returned it (borrowed: it may be another node's gradient, or a view of
-one) and never writes into it. A second contribution makes a new array
-that backward owns, and later ones are added to that in place, so the
-float64 additions are the same as when every first contribution was
-copied. :meth:`Gradients.of` hands out a copy, so no two of its results
-share storage with each other or with the sweep.
+it the buffers its forward saved, and then the node's gradient too unless
+the caller asked for it in ``wrt``: a graph's activations and intermediate
+gradients are freed while the sweep runs, and only the wanted gradients
+outlive it. :func:`backward` keeps a node's first gradient contribution as
+the VJP returned it (borrowed: it may be another node's gradient, or a
+view of one) and never writes into it. A second contribution makes a new
+array that backward owns, and later ones are added to that in place, so
+the float64 additions are the same as when every first contribution was
+copied. Each result is a copy of its own, so no two results share storage
+with each other or with the sweep.
 
 Every operation checks its output for NaN/Inf and raises
 :class:`~alternator.errors.NumericError` instead of letting non-finite
@@ -128,9 +128,6 @@ class Tape:
             self._leaves[id(tensor)] = node
             self._leaf_refs.append(tensor)  # pin so id() stays unambiguous
         return node
-
-    def leaf_node_of(self, tensor: "Tensor") -> "_Node | None":
-        return self._leaves.get(id(tensor))
 
 
 def _check_finite(data: np.ndarray, op: str) -> np.ndarray:
@@ -567,36 +564,18 @@ def latent_recursion(
     return _record(out, inputs, vjp)
 
 
-class Gradients:
-    """Gradients from one backward sweep, queryable per tensor."""
-
-    def __init__(self, tape: Tape, grads: list):
-        self._tape = tape
-        self._grads = grads
-
-    def of(self, tensor: Tensor) -> np.ndarray:
-        """A copy of the gradient of the loss w.r.t. ``tensor`` (zeros if unreachable).
-
-        The sweep's arrays are shared between nodes (a borrowed gradient is
-        another node's, or a view of one), so each result is a copy of its
-        own; parameters are small.
-        """
-        node = tensor.node if tensor.node is not None else self._tape.leaf_node_of(tensor)
-        if (
-            node is None
-            or node.idx >= len(self._tape.nodes)
-            or self._tape.nodes[node.idx] is not node  # recorded on another tape
-            or self._grads[node.idx] is None
-        ):
-            return np.zeros_like(tensor.data)
-        return np.array(self._grads[node.idx], dtype=np.float64, copy=True)
+def _on_tape(tape: Tape, node: "_Node | None") -> bool:
+    return node is not None and node.idx < len(tape.nodes) and tape.nodes[node.idx] is node
 
 
-def backward(tape: Tape, loss: Tensor) -> Gradients:
-    """Reverse sweep from ``loss`` over ``tape``; a tape can be swept once.
+def backward(tape: Tape, loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
+    """Gradients of ``loss`` w.r.t. each tensor in ``wrt``, by one reverse sweep of ``tape``.
 
-    Each node's VJP is dropped once it has run (or skipped, for a node the
-    loss does not reach), which frees the buffers its forward saved.
+    Each result is a fresh array; a tensor the loss does not reach, or one
+    not recorded on ``tape``, gets zeros. A tape can be swept once. Each
+    node's VJP is dropped once it has run (or skipped, for a node the loss
+    does not reach), which frees the buffers its forward saved; its
+    gradient goes with it unless the node is one of ``wrt``'s.
     ``loss`` must be a scalar recorded on ``tape``. Accumulation is ordinary
     float64 addition in a fixed sequential order, so results are bitwise
     reproducible. A node's first contribution is kept as the VJP returned
@@ -607,15 +586,14 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if (
-        loss.node is None
-        or loss.node.idx >= len(tape.nodes)
-        or tape.nodes[loss.node.idx] is not loss.node
-    ):
+    if not _on_tape(tape, loss.node):
         raise ValueError("loss was not recorded on this tape")
     if tape._swept:
         raise ValueError("this tape was already swept; its VJPs consumed their saved buffers")
     tape._swept = True
+    wanted = [t.node if t.node is not None else tape._leaves.get(id(t)) for t in wrt]
+    wanted = [node if _on_tape(tape, node) else None for node in wanted]
+    keep = {node.idx for node in wanted if node is not None}
     grads: list = [None] * len(tape.nodes)
     owned = [False] * len(tape.nodes)
     grads[loss.node.idx] = np.ones_like(loss.data)
@@ -623,6 +601,8 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
     for node in reversed(tape.nodes):
         vjp, node.vjp = node.vjp, None    # with it go the buffers its forward saved
         g = grads[node.idx]
+        if node.idx not in keep:
+            grads[node.idx] = None        # no later node contributes to it
         if g is None or vjp is None:
             continue
         for parent, contrib in zip(node.parents, vjp(g)):
@@ -641,7 +621,9 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
             else:
                 grads[i] = grads[i] + contrib
                 owned[i] = True
-    return Gradients(tape, grads)
+    return [np.zeros_like(t.data) if node is None or grads[node.idx] is None
+            else np.array(grads[node.idx], dtype=np.float64, copy=True)
+            for t, node in zip(wrt, wanted)]
 
 
 def finite_difference_check(
@@ -660,8 +642,7 @@ def finite_difference_check(
     params = list(params)
     with Tape() as tape:
         loss = loss_fn()
-    grads = backward(tape, loss)
-    analytic = [grads.of(p) for p in params]
+    analytic = backward(tape, loss, params)
 
     worst = 0.0
     for p, ana in zip(params, analytic):

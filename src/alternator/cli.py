@@ -181,6 +181,7 @@ _MMD_VARIANTS = ("marginal", "sequence")
 # name -> (test, what the value must be). A null nullable field is not tested.
 _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _POSITIVE = (lambda v: v > 0, "> 0")
+_OPEN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
 
 
 def _one_of(values: tuple) -> tuple:
@@ -188,10 +189,17 @@ def _one_of(values: tuple) -> tuple:
 
 
 _BOUNDS = {
+    "model.d_z": _AT_LEAST_ONE,
+    "model.hidden_dim": _AT_LEAST_ONE,
+    "model.depth": _AT_LEAST_ONE,
     "model.kind": _one_of(networks.KINDS),
     "model.activation": _one_of(networks.ACTIVATIONS),
     "model.dynamics": _one_of(core.DYNAMICS),
+    "model.sigma_x": _OPEN_UNIT,
+    "model.sigma_z": _OPEN_UNIT,
     "dataset.noise_std": (lambda v: v >= 0, ">= 0"),
+    "train.epochs": _AT_LEAST_ONE,
+    "train.batch_size": _AT_LEAST_ONE,
     "train.lr_max": _POSITIVE,
     "train.lr_min": _POSITIVE,
     "train.adam_eps": _POSITIVE,
@@ -200,6 +208,7 @@ _BOUNDS = {
     "impute.rates": (lambda v: v and all(0 <= r <= 1 for r in v),
                      "a non-empty list of rates in [0, 1]"),
     "impute.n_samples": _AT_LEAST_ONE,
+    "forecast.horizon": _AT_LEAST_ONE,
     "forecast.members": _AT_LEAST_ONE,
     "forecast.context_length": _AT_LEAST_ONE,
     "eval_density.variant": _one_of(_MMD_VARIANTS),

@@ -371,11 +371,10 @@ def train(
             try:
                 with Tape() as tape:
                     loss, breakdown = total_loss(model, batch, config, noise)
-                grads = backward(tape, loss)
+                named_grads = dict(zip(params, backward(tape, loss, list(params.values()))))
             except NumericError as exc:
                 raise NumericError(f"training aborted at epoch {epoch}: {exc}") from exc
-            named_grads = {name: grads.of(p) for name, p in params.items()}
-            del tape, loss, grads         # the step's graph dies before the next one is built
+            del tape, loss                # the step's graph dies before the next one is built
             adam_step(params, named_grads, state, lr)
             sums += len(idx) * np.array(astuple(breakdown))
         avg = sums / N

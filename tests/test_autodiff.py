@@ -45,8 +45,8 @@ def test_square_gradient_polynomial():
     w = Tensor(np.array(3.0))
     with Tape() as tape:
         loss = ad.square(w)
-    grads = backward(tape, loss)
-    assert grads.of(w) == pytest.approx(6.0, abs=1e-12)
+    [g_w] = backward(tape, loss, [w])
+    assert g_w == pytest.approx(6.0, abs=1e-12)
 
 
 def test_tanh_chain_matches_central_differences():
@@ -59,18 +59,22 @@ def test_tanh_chain_matches_central_differences():
 
     with Tape() as tape:
         loss = ad.total_sum(ad.tanh(ad.matmul(x, w)))
-    grads = backward(tape, loss)
+    [g_w] = backward(tape, loss, [w])
     oracle = numeric_grad(loss_value, w.data)
-    assert rel_err(grads.of(w), oracle) <= 1e-4
+    assert rel_err(g_w, oracle) <= 1e-4
 
 
 def test_unreachable_parameter_gets_zero_gradient():
     w = Tensor(np.ones(3))
-    other = Tensor(np.ones(2))
+    other = Tensor(np.ones(2))              # never recorded
+    dead = Tensor(np.ones(4))               # recorded, but the loss does not reach it
     with Tape() as tape:
+        ad.square(dead)
         loss = ad.total_sum(ad.square(w))
-    grads = backward(tape, loss)
-    assert np.array_equal(grads.of(other), np.zeros(2))
+    g_other, g_w, g_dead = backward(tape, loss, [other, w, dead])
+    assert np.array_equal(g_other, np.zeros(2))
+    assert np.array_equal(g_dead, np.zeros(4))
+    assert np.array_equal(g_w, 2 * w.data)
 
 
 def test_backward_rejects_non_scalar_loss():
@@ -78,15 +82,15 @@ def test_backward_rejects_non_scalar_loss():
     with Tape() as tape:
         y = ad.square(w)
     with pytest.raises(ValueError):
-        backward(tape, y)
+        backward(tape, y, [w])
 
 
 def test_gradient_of_loss_wrt_itself_is_one():
     w = Tensor(np.array(2.0))
     with Tape() as tape:
         loss = ad.square(w)
-    grads = backward(tape, loss)
-    assert grads._grads[loss.node.idx] == pytest.approx(1.0)
+    [g_loss] = backward(tape, loss, [loss])
+    assert g_loss == 1.0
 
 
 @pytest.mark.parametrize("op,dfn", [
@@ -100,8 +104,8 @@ def test_elementwise_vjps_randomized(op, dfn):
         x = Tensor(rng.uniform(-1, 1, size=7))
         with Tape() as tape:
             loss = ad.total_sum(op(x))
-        grads = backward(tape, loss)
-        assert np.allclose(grads.of(x), dfn(x.data), atol=1e-12)
+        [g_x] = backward(tape, loss, [x])
+        assert np.allclose(g_x, dfn(x.data), atol=1e-12)
 
 
 def test_all_ops_match_finite_differences_on_random_inputs():
@@ -209,8 +213,8 @@ def test_gradient_accumulates_across_reuse():
     with Tape() as tape:
         # loss = w*w + 3w -> dL/dw = 2w + 3 = 7
         loss = ad.add(ad.square(w), ad.scale(w, 3.0))
-    grads = backward(tape, loss)
-    assert grads.of(w) == pytest.approx(7.0, abs=1e-12)
+    [g_w] = backward(tape, loss, [w])
+    assert g_w == pytest.approx(7.0, abs=1e-12)
 
 
 def test_untaped_ops_record_nothing():
@@ -225,10 +229,11 @@ def test_cross_tape_queries_are_safe():
         loss1 = ad.square(w)
     with Tape() as t2:
         loss2 = ad.square(Tensor(np.array(2.0)))
-    grads2 = backward(t2, loss2)
-    assert grads2.of(loss1) == 0.0          # foreign node -> zeros, never aliased
+    g_loss1, g_w = backward(t2, loss2, [loss1, w])
+    assert g_loss1 == 0.0                   # foreign node -> zeros, never aliased
+    assert g_w == 0.0                       # a leaf of another tape only
     with pytest.raises(ValueError):
-        backward(t1, loss2)
+        backward(t1, loss2, [w])
 
 
 def test_select_takes_one_slice_and_scatters_its_gradient():
@@ -241,7 +246,7 @@ def test_select_takes_one_slice_and_scatters_its_gradient():
     assert np.array_equal(y.data, x.data[:, 2])
     want = np.zeros_like(x.data)
     want[:, 2] = g
-    assert np.array_equal(backward(tape, loss).of(x), want)
+    assert np.array_equal(backward(tape, loss, [x])[0], want)
 
 
 def test_mlp_rejects_unknown_activation_and_bad_shapes():
@@ -265,9 +270,9 @@ def test_second_backward_on_one_tape_raises():
               (Tensor(rng.normal(size=(5, 2))), Tensor(rng.normal(size=2)))]
     with Tape() as tape:
         loss = ad.total_sum(ad.mlp(x, layers, "tanh"))
-    backward(tape, loss)
+    backward(tape, loss, [x])
     with pytest.raises(ValueError, match="already swept"):
-        backward(tape, loss)
+        backward(tape, loss, [x])
 
 
 def test_backward_frees_what_the_forward_saved():
@@ -282,14 +287,15 @@ def test_backward_frees_what_the_forward_saved():
         with Tape() as tape:
             loss = ad.total_sum(ad.mlp(x, layers, "tanh"))
         before = tracemalloc.get_traced_memory()[0]
-        grads = backward(tape, loss)
+        [g_w0] = backward(tape, loss, [layers[0][0]])
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # tape, loss and grads are alive; what the sweep keeps is the gradients,
-    # 0.2 MiB ((4096, 2) for the output, (4096, 3) for x, the weights')
-    assert before - after > hidden - 2**18, (before, after)
-    assert grads.of(x).shape == x.shape
+    # tape, loss and the one (3, 64) result are alive; the gradients nobody
+    # asked for, 0.2 MiB ((4096, 2) for the output, (4096, 3) for x, the
+    # other weights'), are gone with the hidden activations
+    assert before - after > hidden - 2**12, (before, after)
+    assert g_w0.shape == (3, 64)
 
 
 def test_gradients_of_results_do_not_share_storage():
@@ -302,17 +308,16 @@ def test_gradients_of_results_do_not_share_storage():
         u = ad.add(ab, c)                  # two contributions below: backward owns u's gradient
         loss = ad.add(ad.add(a_term, ad.total_sum(ad.mul(u, Tensor(w)))),
                       ad.total_sum(ad.mul(u, Tensor(v))))
-    grads = backward(tape, loss)
-    tensors = [a, b, c, ab, u, a_term, loss]
-    want = [grads.of(t).copy() for t in tensors]
+    got = backward(tape, loss, [a, b, c, ab, u, a_term, loss, a])   # a twice
+    want = [g.copy() for g in got]
     assert np.array_equal(want[0], (v + w) + w)
+    assert np.array_equal(want[7], want[0])
     for k in (1, 2, 3, 4):
         assert np.array_equal(want[k], v + w)
-    for k, t in enumerate(tensors):
-        grads.of(t)[...] = np.nan
-        for j, other in enumerate(tensors):
-            if j != k:
-                assert np.array_equal(grads.of(other), want[j])
+    for k, g in enumerate(got):
+        g[...] = np.nan
+        for j in range(k + 1, len(got)):
+            assert np.array_equal(got[j], want[j]), (k, j)
 
 
 @pytest.mark.parametrize("op", [ad.tanh, ad.gelu])
@@ -324,7 +329,7 @@ def test_standalone_activation_keeps_its_output_through_backward(op):
         y = op(x)
         loss = ad.total_sum(ad.mul(y, Tensor(rng.normal(size=(5, 4)))))
     y_before = y.data.copy()
-    backward(tape, loss)
+    backward(tape, loss, [x])
     assert np.array_equal(y.data, y_before)
     assert np.array_equal(x.data, x_before)
 
@@ -338,11 +343,11 @@ def test_select_gradient_lands_in_its_slice_after_a_borrowed_first_contribution(
         z = ad.add(x, c)                   # x's first contribution is c's gradient array too
         loss = ad.add(ad.total_sum(ad.mul(y, Tensor(g_sel))),
                       ad.total_sum(ad.mul(z, Tensor(w))))
-    grads = backward(tape, loss)
+    g_x, g_c = backward(tape, loss, [x, c])
     want = w * 1.0
     want[:, 2] += g_sel
-    assert np.array_equal(grads.of(x), want)
-    assert np.array_equal(grads.of(c), w * 1.0)
+    assert np.array_equal(g_x, want)
+    assert np.array_equal(g_c, w * 1.0)
 
 
 # --- properties of the fused mlp and of the VJPs ----------------------------
@@ -375,10 +380,10 @@ def test_fused_mlp_equals_layer_chain_bitwise(rows, widths, activation, seed):
             out = forward(x, layers, activation)
             loss = ad.total_sum(ad.mul(out, weight))
         out_before = out.data.copy()
-        grads = backward(tape, loss)
+        grads = backward(tape, loss, params)
         assert np.array_equal(x.data, x_before)
         assert np.array_equal(out.data, out_before)
-        results.append([out.data] + [grads.of(p) for p in params])
+        results.append([out.data] + grads)
     for fused, chain in zip(results[1], results[0]):
         assert np.array_equal(fused, chain)
 

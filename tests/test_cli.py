@@ -145,7 +145,7 @@ def test_sigma_out_of_range_is_config_error(tmp_path, capsys):
     code = run_cli("train", "--set", "dataset.kind=bimodal", "--set", "model.sigma_x=1.5",
                    "--out", tmp_path / "x")
     assert code == cli.EXIT_CONFIG
-    assert "sigma_x must lie in (0, 1)" in capsys.readouterr().err
+    assert "'model.sigma_x' must be in (0, 1)" in capsys.readouterr().err
 
 
 # --- train ------------------------------------------------------------------
@@ -436,7 +436,7 @@ _TINY_TRAIN = ["--set", "dataset.kind=bimodal", "--set", "dataset.n=4", "--set",
     ("impute", ["--set", "impute.mask_seed=-1"], cli.EXIT_CONFIG, "'impute.mask_seed'"),
     ("impute", ["--set", "impute.rates=[]"], cli.EXIT_CONFIG, "'impute.rates'"),
     ("generate", ["--set", "generate.n_samples=-1"], cli.EXIT_CONFIG, "'generate.n_samples'"),
-    ("forecast", ["--set", "forecast.horizon=-1"], cli.EXIT_CONFIG, "horizon -1"),
+    ("forecast", ["--set", "forecast.horizon=-1"], cli.EXIT_CONFIG, "'forecast.horizon'"),
     ("eval-density", ["--set", "eval_density.variant=foo"], cli.EXIT_CONFIG,
      "'eval_density.variant'"),
     ("eval-density", ["--set", "eval_density.n_samples=0"], cli.EXIT_CONFIG,
@@ -503,9 +503,18 @@ def test_config_values_never_end_in_traceback(tiny_cfg, trained_run, tmp_path, t
     ("generate", "generate.n_samples", "0"),
     ("impute", "impute.rates", "[]"),
     ("eval-density", "eval_density.variant", "foo"),
+    ("forecast", "forecast.horizon", "0"),
+    ("train", "train.epochs", "0"),
+    ("train", "train.batch_size", "0"),
+    ("train", "model.d_z", "0"),
+    ("train", "model.hidden_dim", "0"),
+    ("train", "model.depth", "0"),
+    ("train", "model.sigma_x", "1.0"),
+    ("train", "model.sigma_z", "0.0"),
 ])
 def test_config_checks_run_before_any_file_is_read(tmp_path, capsys, task, key, value):
-    code = run_cli(task, "--checkpoint", tmp_path / "missing.alt", "--out", tmp_path / "o",
+    checkpoint = [] if task == "train" else ["--checkpoint", tmp_path / "missing.alt"]
+    code = run_cli(task, *checkpoint, "--out", tmp_path / "o",
                    "--set", "dataset.kind=csv", "--set", f"dataset.path={tmp_path / 'no.csv'}",
                    "--set", f"{key}={value}")
     assert code == cli.EXIT_CONFIG

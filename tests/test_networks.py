@@ -240,8 +240,7 @@ def _values_and_grads(forward, spec, params, x_data, weight):
     with Tape() as tape:
         out = forward(spec, params, x)
         loss = ad.total_sum(ad.mul(out, weight))
-    grads = ad.backward(tape, loss)
-    return [out.data, grads.of(x)] + [grads.of(t) for t in params.values()]
+    return [out.data] + ad.backward(tape, loss, [x, *params.values()])
 
 
 @pytest.mark.parametrize("activation", ["tanh", "gelu"])
