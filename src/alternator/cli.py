@@ -331,7 +331,11 @@ def _write_config(cfg: dict, out_dir: Path) -> None:
 
 
 class MetricWriter:
-    """Newline-delimited metric records with a fixed field core."""
+    """Newline-delimited metric records with a fixed field core.
+
+    Values and standard errors are finite or None (JSON null); NaN or
+    infinity raises NumericError, as strict JSON has no token for them.
+    """
 
     def __init__(self, path: Path, task: str, seed: int):
         self.path = path
@@ -339,9 +343,12 @@ class MetricWriter:
         self.seed = seed
         self.records: list[dict] = []
 
-    def add(self, metric: str, value: float, std_error: "float | None" = None,
+    def add(self, metric: str, value: "float | None", std_error: "float | None" = None,
             n: int = 1, **extra) -> None:
-        rec = {"task": self.task, "metric": metric, "value": float(value),
+        if any(v is not None and not np.isfinite(v) for v in (value, std_error)):
+            raise NumericError(f"metric {metric!r} is not finite: {value} (std_error {std_error})")
+        rec = {"task": self.task, "metric": metric,
+               "value": None if value is None else float(value),
                "std_error": None if std_error is None else float(std_error),
                "n": int(n), "seed": self.seed}
         rec.update(extra)
@@ -504,7 +511,7 @@ def run_eval_density(cfg: dict, out_dir: Path, model: core.AlternatorModel,
         base_samples = core.generate_batch(baseline, n, T, core.spawn_seed(cfg["seed"], 0))
         base_value = mmd_fn(base_samples, ds.data)
         writer.add("mmd_baseline", base_value, n=n)
-        writer.add("mmd_ratio", value / base_value if base_value > 0 else float("inf"), n=n)
+        writer.add("mmd_ratio", value / base_value if base_value > 0 else None, n=n)
     writer.flush()
     print(f"density evaluation written to {out_dir}")
     return EXIT_OK

@@ -1,12 +1,14 @@
 """Evaluation metrics: RBF-kernel MMD, ensemble CRPS, pointwise errors.
 
 ``sequence_mmd`` and ``marginal_mmd`` compute the squared distances of the
-union of both sample sets once, a fixed-size block of rows at a time. Each
-block covers only the columns on and above the diagonal and is mirrored
-below it, so every distance is computed once. The median bandwidth and the
-three kernel means are taken from that one matrix.
-Their values are bitwise equal to ``mmd_rbf(X, Y, median_bandwidth([X; Y]))``,
-the two public oracles, which build each distance block on their own.
+union of both sample sets once, a fixed-size block of rows at a time, and
+store each distance once: in a condensed row-major upper triangle of
+n(n-1)/2 floats. The median bandwidth is taken from one working copy of
+that triangle, and each of the three kernel means from one contiguous
+(N, N), (M, M) or (N, M) buffer filled from it, so memory is the triangle
+plus one block. Their values are bitwise equal to
+``mmd_rbf(X, Y, median_bandwidth([X; Y]))``, the two public oracles, which
+build each distance block on their own.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ def _union_mmd(X: np.ndarray, Y: np.ndarray, h: "float | None" = None) -> float:
     """mmd_rbf(X, Y, h) from one blocked distance pass over the rows of [X; Y].
 
     ``h`` defaults to the median bandwidth of the union. Memory is the
-    (N+M)^2 distance matrix plus one block, not an (N, M, d) tensor.
+    n(n-1)/2 distances of the condensed triangle plus one block, not the
+    (N+M)^2 matrix or an (N, M, d) tensor.
     """
     if X.shape[1] != Y.shape[1]:
         raise ShapeError(f"incompatible sample shapes {X.shape} and {Y.shape}")
@@ -85,26 +88,49 @@ def _union_mmd(X: np.ndarray, Y: np.ndarray, h: "float | None" = None) -> float:
     U = np.concatenate([X, Y], axis=0)
     n = U.shape[0]
     rows = max(1, _BLOCK_BYTES // (8 * n * max(1, U.shape[1])))
-    D = np.empty((n, n))
+    # Row i of the triangle holds d(i, j) for j > i; d(i, j) sits at
+    # starts[i] + j. d(i, j) and d(j, i) are bitwise equal: (a - b)^2 ==
+    # (b - a)^2 and each row sum runs in the same order.
+    starts = [i * (2 * n - i - 1) // 2 - i - 1 for i in range(n)]
+    tri = np.empty(n * (n - 1) // 2)
     for r in range(0, n, rows):
-        # d(i, j) and d(j, i) are bitwise equal: (a - b)^2 == (b - a)^2 and
-        # each row sum runs in the same order. So each block covers only
-        # columns r: and is mirrored below the diagonal.
         block = _pairwise_sq_dists(U[r:r + rows], U[r:])
-        D[r:r + rows, r:] = block
-        D[r:, r:r + rows] = block.T
+        for i in range(r, min(r + rows, n)):
+            tri[starts[i] + i + 1:starts[i] + n] = block[i - r, i - r + 1:]
     if h is None:
-        upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-        h = float(np.median(np.sqrt(D[upper])))
+        # sqrt is monotone, so np.median(np.sqrt(tri)) is the mean of the
+        # roots of the one or two middle elements of a partitioned copy.
+        m = tri.size // 2
+        mid = [m] if tri.size % 2 else [m - 1, m]
+        h = float(np.sqrt(np.partition(tri, mid)[mid[0]:m + 1]).mean())
         h = h if h > 0.0 else 1.0
     s = 2.0 * h * h
     N = X.shape[0]
-    # Each kernel block is a new contiguous array, so its mean sums in the
-    # same order as mmd_rbf's.
-    kxx = np.exp(-D[:N, :N] / s).mean()
-    kyy = np.exp(-D[N:, N:] / s).mean()
-    kxy = np.exp(-D[:N, N:] / s).mean()
+    kxx = _kernel_mean(tri, starts, 0, N, 0, N, s)
+    kyy = _kernel_mean(tri, starts, N, n, N, n, s)
+    kxy = _kernel_mean(tri, starts, 0, N, N, n, s)
     return float(kxx + kyy - 2.0 * kxy)
+
+
+def _kernel_mean(tri, starts, r0, r1, c0, c1, s):
+    """Mean of exp(-D / s) over the block D[r0:r1, c0:c1] of the triangle.
+
+    The block is either on the diagonal (r0 == c0, r1 == c1) or wholly above
+    it. It is one new contiguous buffer, negated, divided and exponentiated
+    in place, so its mean sums in the same order as mmd_rbf's.
+    """
+    buf = np.empty((r1 - r0, c1 - c0))
+    for i in range(r0, r1):
+        j0 = max(c0, i + 1)
+        row = tri[starts[i] + j0:starts[i] + c1]
+        buf[i - r0, j0 - c0:] = row
+        if r0 == c0:
+            buf[j0 - c0:, i - r0] = row
+            buf[i - r0, i - c0] = 0.0
+    np.negative(buf, out=buf)
+    buf /= s
+    np.exp(buf, out=buf)
+    return buf.mean()
 
 
 def sequence_mmd(samples: np.ndarray, reference: np.ndarray, h: "float | None" = None) -> float:

@@ -1,9 +1,12 @@
 """Downstream tasks: missing-at-random masking, imputation, forecasting.
 
 ``impute`` and ``forecast_ensemble`` take one (T, d_x) series with an int
-seed, or an (S, T, d_x) stack with one seed per series. A stack runs as one
-batch through ``core.alternate``, and each series draws from the same seed
-streams as it would alone. A single series is run as a stack of one.
+seed, or an (S, T, d_x) stack with one seed per series. A stack runs
+through ``core.alternate`` in blocks of whole series, at most
+``_ROW_BLOCK`` rollout rows or one series a block, each block drawing its
+noise when it runs, so memory does not grow with the stack. Each series
+draws from the same seed streams as it would alone. A single series is run
+as a stack of one.
 """
 
 from __future__ import annotations
@@ -24,6 +27,15 @@ from .core import (
 from .errors import ConfigError, ShapeError
 
 MISSING_SENTINEL = np.nan
+
+# Rollout rows per ``core.alternate`` call: a block holds as many whole
+# series as fit, and at least one.
+_ROW_BLOCK = 1024
+
+
+def _series_blocks(n_series: int, rows_per_series: int) -> list[slice]:
+    per = max(1, _ROW_BLOCK // rows_per_series)
+    return [slice(b, b + per) for b in range(0, n_series, per)]
 
 
 @dataclass
@@ -94,8 +106,8 @@ def impute(
     emitted means over that many independent rollouts. A (T, d_x) series
     takes an int seed and returns (T, d_x); an (S, T, d_x) stack takes a
     mask with a leading (S,) axis and S seeds, returns (S, T, d_x), and
-    runs all S * n_samples rollouts as one batch. Rollout k of a series
-    draws from the spawn of its seed with key (k,).
+    runs the S * n_samples rollouts in blocks of whole series. Rollout k of
+    a series draws from the spawn of its seed with key (k,).
     """
     xs, seeds, single = series_stack(masked_xs, seed, model.d_x, "series")
     if n_samples < 1:
@@ -103,15 +115,17 @@ def impute(
     S, T, _ = xs.shape
     obs = _observed_grid(mask.observed[None] if single else mask.observed, xs.shape)
     data = np.where(obs, xs, 0.0)  # sentinel never enters the recursion
-    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=s, spawn_key=(k,)))
-            for s in seeds for k in range(n_samples)]
-    z0 = np.stack([rng.standard_normal(model.d_z) for rng in rngs])
-    eps_z = None if mean_propagation else np.stack(
-        [rng.standard_normal((T, model.d_z)) for rng in rngs])
-    rows = np.repeat(np.arange(S), n_samples)
-    steps = alternate(model, z0, T, data=data[rows], observed=obs[rows], eps_z=eps_z)
-    (filled,) = stack_steps(steps, T, "x")
-    completed = filled.reshape(S, n_samples, T, model.d_x).sum(axis=1) / n_samples
+    completed = np.empty_like(xs)
+    for b in _series_blocks(S, n_samples):
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=s, spawn_key=(k,)))
+                for s in seeds[b] for k in range(n_samples)]
+        z0 = np.stack([rng.standard_normal(model.d_z) for rng in rngs])
+        eps_z = None if mean_propagation else np.stack(
+            [rng.standard_normal((T, model.d_z)) for rng in rngs])
+        steps = alternate(model, z0, T, data=np.repeat(data[b], n_samples, axis=0),
+                          observed=np.repeat(obs[b], n_samples, axis=0), eps_z=eps_z)
+        (filled,) = stack_steps(steps, T, "x")
+        completed[b] = filled.reshape(-1, n_samples, T, model.d_x).sum(axis=1) / n_samples
     completed[obs] = xs[obs]  # exact pass-through, no averaging artifacts
     return completed[0] if single else completed
 
@@ -150,9 +164,10 @@ def forecast_ensemble(
     spread comes only from the forecast-phase noise; members differ only in
     their noise draws. A (T_c, d_x) context takes an int seed; an (S, T_c,
     d_x) stack takes S seeds (and, if given, S lists of member seeds of one
-    length), and all S * M members roll as one batch. A context encodes
-    with the spawn of its seed with key (0,), and member k draws from the
-    spawn with key (1, k) unless ``member_seeds`` names its seed.
+    length), and the S * M members roll in blocks of whole series. A
+    context encodes with the spawn of its seed with key (0,), and member k
+    draws from the spawn with key (1, k) unless ``member_seeds`` names its
+    seed.
     """
     ctx, seeds, single = series_stack(context_xs, seed, model.d_x, "context")
     T_c = ctx.shape[1]
@@ -168,15 +183,17 @@ def forecast_ensemble(
     _, z_last = encode_states(model, ctx, [spawn_seed(s, 0) for s in seeds],
                               mean_propagation=True)
 
-    # each member draws, per step, its observation noise then its latent noise
-    noise = np.stack([
-        np.random.default_rng(mseed).standard_normal((horizon, model.d_x + model.d_z))
-        for row in member_seeds for mseed in row
-    ])
-    steps = alternate(model, np.repeat(z_last, M, axis=0), horizon, t0=T_c,
-                      eps_x=noise[..., :model.d_x], eps_z=noise[..., model.d_x:])
-    (xs,) = stack_steps(steps, horizon, "x")
-    xs = xs.reshape(len(seeds), M, horizon, model.d_x)
+    xs = np.empty((len(seeds), M, horizon, model.d_x))
+    for b in _series_blocks(len(seeds), M):
+        # each member draws, per step, its observation noise then its latent noise
+        noise = np.stack([
+            np.random.default_rng(mseed).standard_normal((horizon, model.d_x + model.d_z))
+            for row in member_seeds[b] for mseed in row
+        ])
+        steps = alternate(model, np.repeat(z_last[b], M, axis=0), horizon, t0=T_c,
+                          eps_x=noise[..., :model.d_x], eps_z=noise[..., model.d_x:])
+        (block,) = stack_steps(steps, horizon, "x")
+        xs[b] = block.reshape(-1, M, horizon, model.d_x)
     return EnsembleForecast(members=xs[0] if single else xs)
 
 

@@ -344,6 +344,46 @@ def test_eval_density_baseline_ratio(tiny_cfg, trained_run, tmp_path):
     assert metrics["mmd_ratio"] == pytest.approx(1.0)
 
 
+def _strict_loads(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, as strict parsers do."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_eval_density_zero_baseline_mmd_writes_a_null_ratio(trained_run, tmp_path):
+    # the data are the samples eval-density draws from the baseline, so its
+    # MMD is exactly 0.0 and the ratio has no value
+    ckpt = trained_run / "checkpoint.alt"
+    gen_out = tmp_path / "gen"
+    assert run_cli("generate", "--checkpoint", ckpt, "--out", gen_out,
+                   "--seed", spawn_seed(11, 0), "--set", "generate.n_samples=6") == 0
+    out = tmp_path / "ev"
+    assert run_cli("eval-density", "--checkpoint", ckpt, "--baseline-checkpoint", ckpt,
+                   "--out", out, "--seed", 11, "--set", "dataset.kind=csv",
+                   "--set", f"dataset.path={gen_out / 'samples.csv'}",
+                   "--set", "eval_density.n_samples=6") == cli.EXIT_OK
+    lines = (out / "density_metrics.jsonl").read_text(encoding="utf-8").splitlines()
+    records = {r["metric"]: r for r in map(_strict_loads, lines)}
+    assert records["mmd_baseline"]["value"] == 0.0
+    assert records["mmd_ratio"]["value"] is None
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_metric_is_a_numeric_abort_without_a_metric_file(
+        tiny_cfg, trained_run, tmp_path, monkeypatch, capsys, bad):
+    monkeypatch.setattr(metrics, "sequence_mmd", lambda *args: bad)
+    out = tmp_path / "ev"
+    assert run_cli("eval-density", "--config", tiny_cfg, "--out", out,
+                   "--checkpoint", trained_run / "checkpoint.alt",
+                   "--set", "eval_density.n_samples=4") == cli.EXIT_NUMERIC
+    assert "metric 'mmd' is not finite" in capsys.readouterr().err
+    assert not (out / "density_metrics.jsonl").exists()
+    with pytest.raises(ValueError, match="non-standard JSON token"):
+        _strict_loads(json.dumps({"value": bad}))  # what a record of it would hold
+
+
 # --- exit codes ---------------------------------------------------------------
 
 def test_eval_density_checks_baseline_before_writing(tiny_cfg, trained_run, tmp_path, capsys):

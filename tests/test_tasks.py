@@ -1,10 +1,13 @@
 """Masking, imputation, and ensemble forecasting contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_model
 
+from alternator import tasks
 from alternator.core import mean_x_components, mean_z_components
 from alternator.errors import ConfigError, ShapeError
 from alternator.tasks import (
@@ -179,6 +182,38 @@ def test_impute_stack_matches_per_series_calls(n_samples, per_channel, mean_prop
     assert np.array_equal(one[0], want[4])
 
 
+@pytest.mark.parametrize("row_block", [1, 7, 10])
+@pytest.mark.parametrize("mean_propagation", [False, True])
+def test_impute_row_blocks_match_one_batch(monkeypatch, row_block, mean_propagation):
+    # 9 series x 3 samples: 1 and 7 rows a block hold one and two series (the
+    # last block partial), 10 rows three; a series never splits. A block is
+    # a smaller matmul, which BLAS may round differently: at default sizes
+    # blocks of 512 or 4096 rows moved last digits, 1024 did not.
+    model = make_model(d_x=3, d_z=2, T=8, seed=46)
+    masked, masks = _mask_stack([0.2, 0.5, 0.9], 3, 8, 3, False)
+    args = (model, np.stack(masked), MARMask.stack(masks), list(range(200, 209)))
+    kwargs = {"n_samples": 3, "mean_propagation": mean_propagation}
+    one_batch = impute(*args, **kwargs)
+    monkeypatch.setattr(tasks, "_ROW_BLOCK", row_block)
+    np.testing.assert_allclose(impute(*args, **kwargs), one_batch, rtol=1e-12, atol=1e-15)
+
+
+def test_impute_memory_does_not_grow_with_rows():
+    # 500 series x 10 samples: one batch would draw (5000, 50, 8) latent noise
+    # up front (16 MB) and peak at about 37 MiB; blocks hold ~1000 rows.
+    model = make_model(d_x=1, d_z=8, T=50, hidden_dim=16, seed=3)
+    rng = np.random.default_rng(0)
+    mask = MARMask(rng.random((500, 50)) >= 0.5)
+    masked = np.where(mask.observed[..., None], rng.normal(size=(500, 50, 1)), np.nan)
+    tracemalloc.start()
+    try:
+        impute(model, masked, mask, list(range(500)), n_samples=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_impute_stack_needs_one_seed_and_mask_per_series(tiny_model):
     masked, masks = _mask_stack([0.5], 2, 4, 2, False)
     with pytest.raises(ShapeError):
@@ -277,6 +312,18 @@ def test_forecast_stack_matches_per_series_calls(explicit_member_seeds):
     one = forecast_ensemble(model, contexts[1:2], horizon=5, seed=seeds[1:2],
                             **members(member_seeds[1:2]))
     assert np.array_equal(one.members[0], want[1].members)
+
+
+@pytest.mark.parametrize("row_block", [1, 9, 12])
+def test_forecast_row_blocks_match_one_batch(monkeypatch, row_block):
+    # 5 contexts x 4 members: blocks of one, two (the last partial) and three
+    # series; BLAS may round a smaller block differently, as for impute
+    model = make_model(d_x=2, d_z=3, T=10, seed=47)
+    contexts = np.stack([_series(T=4, d=2, seed=60 + i) for i in range(5)])
+    one_batch = forecast_ensemble(model, contexts, horizon=5, members=4, seed=list(range(5)))
+    monkeypatch.setattr(tasks, "_ROW_BLOCK", row_block)
+    got = forecast_ensemble(model, contexts, horizon=5, members=4, seed=list(range(5)))
+    np.testing.assert_allclose(got.members, one_batch.members, rtol=1e-12, atol=1e-15)
 
 
 def test_forecast_stack_rejects_ragged_member_seeds():
