@@ -42,7 +42,6 @@ from .networks import (
     NetworkSpec,
     init_parameters,
     network_forward,
-    self_attention_forward,
 )
 from .tasks import (
     EnsembleForecast,

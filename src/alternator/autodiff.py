@@ -14,6 +14,9 @@ MLP as one node. :func:`latent_recursion` runs the teacher-forced latent
 recursion, T steps of one MLP and a few elementwise terms, as one node:
 its forward and VJP loop over the steps in plain numpy. Both share the
 MLP's forward and VJP code, so the arithmetic lives in one place.
+:func:`matmul`, :func:`tanh`, :func:`gelu`, :func:`neg` and :func:`mul`
+are on no path of the library: the tests build the fused ops' reference
+op chains and the finite-difference properties from them.
 
 The sweep allocates only where the arithmetic needs a new array. The fused
 MLP applies tanh in place on its own pre-activation buffer, and its VJP
@@ -61,16 +64,13 @@ __all__ = [
     "scale",
     "shift",
     "matmul",
-    "transpose",
     "tanh",
     "gelu",
-    "softmax",
     "square",
     "total_sum",
     "concat",
     "stack",
     "reshape",
-    "mean_rows",
     "select",
     "mlp",
     "latent_recursion",
@@ -260,14 +260,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", out, (a, b), vjp)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose expects an operand of at least 2-D, got {a.shape}")
-    return _emit("transpose", a.data.swapaxes(-1, -2).copy(), (a,),
-                 lambda g: (g.swapaxes(-1, -2),))
-
-
 # Each activation takes a pre-activation buffer that the caller owns and may
 # lose, and returns the activation and a one-shot ``times_derivative(g)``,
 # which returns ``g * act'(x)`` and may consume the activation's buffer. The
@@ -315,19 +307,6 @@ def gelu(a: Tensor) -> Tensor:
     return _emit("gelu", out, (a,), lambda g: (times_derivative(g),))
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out,)
-
-    return _emit("softmax", out, (a,), vjp)
-
-
 def square(a: Tensor) -> Tensor:
     a_data = a.data
 
@@ -372,18 +351,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         return (g.reshape(old),)
 
     return _emit("reshape", a.data.reshape(shape), (a,), vjp)
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean over axis -2: (..., n, d) -> (..., d)."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"mean_rows expects an operand of at least 2-D, got {a.shape}")
-    shape = a.data.shape
-
-    def vjp(g):
-        return (np.broadcast_to(np.expand_dims(g / shape[-2], -2), shape).copy(),)
-
-    return _emit("mean_rows", a.data.mean(axis=-2), (a,), vjp)
 
 
 class _SliceGrad:

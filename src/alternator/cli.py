@@ -55,7 +55,7 @@ DEFAULTS: dict = {
         "d_z": 32,
         "hidden_dim": 64,
         "depth": 2,
-        "kind": "mlp",
+        "kind": "mlp",           # the only kind; kept so saved configs load
         "activation": "tanh",
         "sigma_x": 0.3,
         "sigma_z": 0.15,
@@ -155,12 +155,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"--set {expr!r}: 'task' is set by the subcommand, not by --set")
         _apply_set(cfg, path, value)
     _check_types(cfg, DEFAULTS)
-    m = cfg["model"]
-    if m["kind"] == networks.SELF_ATTENTION and m["activation"] != "tanh":
-        # the attention kind applies no activation, so another value would be a silent no-op
-        raise ConfigError(f"config key 'model.activation' must be 'tanh' with model.kind="
-                          f"'{networks.SELF_ATTENTION}', which applies no activation; "
-                          f"got {m['activation']!r}")
     return cfg
 
 
@@ -192,7 +186,7 @@ _BOUNDS = {
     "model.d_z": _AT_LEAST_ONE,
     "model.hidden_dim": _AT_LEAST_ONE,
     "model.depth": _AT_LEAST_ONE,
-    "model.kind": _one_of(networks.KINDS),
+    "model.kind": _one_of(("mlp",)),
     "model.activation": _one_of(networks.ACTIVATIONS),
     "model.dynamics": _one_of(core.DYNAMICS),
     "model.sigma_x": _OPEN_UNIT,
@@ -317,7 +311,7 @@ def build_model_from_config(cfg: dict, d_x: int, T: int) -> core.AlternatorModel
     )
     return core.build_model(
         d_x=d_x, d_z=m["d_z"], schedule=schedule, hidden_dim=m["hidden_dim"],
-        depth=m["depth"], kind=m["kind"], activation=m["activation"],
+        depth=m["depth"], activation=m["activation"],
         seed=m["init_seed"], dynamics=m["dynamics"],
     )
 

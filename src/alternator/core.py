@@ -32,13 +32,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, _as_tensor
 from .data import atomic_write
 from .errors import CheckpointError, ConfigError, ShapeError
-from .networks import (
-    MLP,
-    SELF_ATTENTION,
-    Network,
-    NetworkSpec,
-    parameter_shapes,
-)
+from .networks import Network, NetworkSpec, parameter_shapes
 
 NOISE_MODEL_DYNAMICS = "noise_models"
 VANILLA_DYNAMICS = "vanilla"
@@ -213,7 +207,6 @@ def build_model(
     schedule: NoiseSchedule,
     hidden_dim: int = 64,
     depth: int = 2,
-    kind: str = MLP,
     activation: str = "tanh",
     seed: int = 0,
     dynamics: str = NOISE_MODEL_DYNAMICS,
@@ -223,8 +216,7 @@ def build_model(
 
     def spec(i, o):
         return NetworkSpec(
-            input_dim=i, output_dim=o, hidden_dim=hidden_dim, depth=depth,
-            kind=kind, activation=activation,
+            input_dim=i, output_dim=o, hidden_dim=hidden_dim, depth=depth, activation=activation,
         )
 
     return AlternatorModel(
@@ -318,13 +310,14 @@ def alternate(
     ``data``, ``observed``, ``eps_x`` and ``eps_z`` are indexed (B, step,
     channel), step 0 being t0+1. The arrays passed select the policy. The
     observation is ``data`` where ``observed`` (everywhere without a mask:
-    teacher forcing, encoding), elsewhere ``mu_x + sigma_x*eps_x`` (free
-    running, generation, forecasting), or ``mu_x`` when ``eps_x`` is None
-    (the imputation fill); a partly observed step feeds its mix as a
-    constant, without gradient. The carried latent is ``mu_z +
-    sigma_z*eps_z``, or ``mu_z`` when ``eps_z`` is None (mean propagation).
-    mu_x is evaluated only where the observation uses it. Raises
-    ConfigError, when iteration starts, if the steps run past the schedule.
+    encoding, and the tests' per-step teacher-forcing reference), elsewhere
+    ``mu_x + sigma_x*eps_x`` (free running, generation, forecasting), or
+    ``mu_x`` when ``eps_x`` is None (the imputation fill); a partly observed
+    step feeds its mix as a constant, without gradient. The carried latent
+    is ``mu_z + sigma_z*eps_z``, or ``mu_z`` when ``eps_z`` is None (mean
+    propagation). mu_x is evaluated only where the observation uses it.
+    Raises ConfigError, when iteration starts, if the steps run past the
+    schedule.
     """
     s = model.schedule
     if t0 + steps > s.T:
@@ -434,8 +427,7 @@ def encode_states(
 
 _MAGIC = b"ALTNCKP1"
 _VERSION = 1
-_KIND_CODE = {MLP: 0, SELF_ATTENTION: 1}
-_KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
+_MLP_KIND = 0     # a network header's kind byte: every network is an MLP
 _ACT_CODE = {"tanh": 0, "gelu": 1}
 _ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
 _DYN_CODE = {NOISE_MODEL_DYNAMICS: 0, VANILLA_DYNAMICS: 1}
@@ -445,7 +437,7 @@ _DYN_NAME = {v: k for k, v in _DYN_CODE.items()}
 def _pack_network(buf: io.BytesIO, net: Network) -> None:
     s = net.spec
     buf.write(struct.pack(
-        "<BIIIIB", _KIND_CODE[s.kind], s.input_dim, s.output_dim,
+        "<BIIIIB", _MLP_KIND, s.input_dim, s.output_dim,
         s.hidden_dim, s.depth, _ACT_CODE[s.activation],
     ))
     buf.write(struct.pack("<I", len(net.params)))
@@ -497,11 +489,11 @@ class _Reader:
 
 def _unpack_network(r: _Reader) -> Network:
     kind_code, in_dim, out_dim, hidden, depth, act_code = r.unpack("<BIIIIB")
-    if kind_code not in _KIND_NAME or act_code not in _ACT_NAME:
+    if kind_code != _MLP_KIND or act_code not in _ACT_NAME:
         raise CheckpointError("checkpoint contains an unknown network kind/activation")
     spec = NetworkSpec(
         input_dim=in_dim, output_dim=out_dim, hidden_dim=hidden, depth=depth,
-        kind=_KIND_NAME[kind_code], activation=_ACT_NAME[act_code],
+        activation=_ACT_NAME[act_code],
     )
     layout = parameter_shapes(spec)
     (n_params,) = r.unpack("<I")

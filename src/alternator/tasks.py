@@ -113,6 +113,8 @@ def impute(
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     S, T, _ = xs.shape
+    if T < 1:
+        raise ConfigError("sequence length must be >= 1")
     obs = _observed_grid(mask.observed[None] if single else mask.observed, xs.shape)
     data = np.where(obs, xs, 0.0)  # sentinel never enters the recursion
     completed = np.empty_like(xs)

@@ -14,11 +14,10 @@ four terms is then one square-sum, with gamma_t as a per-step weight vector.
 Under teacher forcing only lat_noise_net([z_{t-1}; x_t]) depends on the
 recursion, so it is the one network run per step: lat_net runs once over
 the B*T data rows before the recursion, and obs_net and obs_noise_net once
-over the stacked z_0..z_{T-1} after it. For an MLP lat_noise_net the whole
-recursion, forward and backward, is the one tape node
-:func:`alternator.autodiff.latent_recursion`, which loops over the steps
-in plain numpy; the self-attention kind records its ops step by step.
-Free running calls all four networks at every step.
+over the stacked z_0..z_{T-1} after it. The whole recursion, forward and
+backward, is the one tape node :func:`alternator.autodiff.latent_recursion`,
+which loops over the steps in plain numpy. Free running calls all four
+networks at every step and records their ops step by step.
 
 One step's graph is alive at a time: :func:`alternator.autodiff.backward`
 frees each node's saved buffers as it sweeps, and :func:`train` drops the
@@ -46,7 +45,7 @@ from .autodiff import Tape, Tensor, backward
 from .core import VANILLA_DYNAMICS, AlternatorModel, alternate, mean_x_components
 from .data import SeriesDataset
 from .errors import ConfigError, NumericError, ShapeError
-from .networks import MLP, mlp_layers
+from .networks import mlp_layers
 
 TRAJECTORY = "trajectory"
 LITERAL = "literal"
@@ -167,13 +166,12 @@ def rollout(
     Teacher forcing (default) feeds each data observation into the latent
     update; mu_x is still computed for the loss. Only lat_noise_net then
     depends on the recursion, and obs_net and obs_noise_net run once over
-    the stacked z_0..z_{T-1} after it. An MLP lat_noise_net runs inside
+    the stacked z_0..z_{T-1} after it. lat_noise_net runs inside
     :func:`alternator.autodiff.latent_recursion`, one tape node for all T
-    steps, after lat_net has run once over the B*T data rows. A
-    self-attention one runs through :func:`alternator.core.alternate`, which
-    calls lat_net and lat_noise_net at every step. ``free_running`` instead
-    propagates the model's own sampled observation, the literal generative
-    recursion, and runs every network at every step through ``alternate``.
+    steps, after lat_net has run once over the B*T data rows.
+    ``free_running`` instead propagates the model's own sampled observation,
+    the literal generative recursion, and runs every network at every step
+    through ``alternate``.
     """
     B, T, d_x = batch.shape
     if d_x != model.d_x:
@@ -184,21 +182,13 @@ def rollout(
         fields = ("x", "z", "mu_x", "mu_z") + (("pred_x", "pred_z") if want_noise_preds else ())
         return Rollout(noise, *(ad.stack([getattr(s, f) for s in steps], axis=1) for f in fields))
 
-    net = model.lat_noise_net
-    if net.spec.kind == MLP:
-        s = model.schedule
-        lat_out = ad.reshape(model.lat_net(batch.reshape(B * T, d_x)), (B, T, model.d_z))
-        out = ad.latent_recursion(
-            lat_out, mlp_layers(net.spec, net.params), net.spec.activation, noise.z0, batch,
-            s.sigma_z * noise.eps_z, s.coef_z(np.arange(1, T + 1)),
-            vanilla=model.dynamics == VANILLA_DYNAMICS, want_pred=want_noise_preds)
-        z_prev, z, mu_z, *pred_z = (ad.select(out, k, axis=0) for k in range(out.shape[0]))
-    else:
-        steps = list(alternate(model, noise.z0, T, data=batch, eps_z=noise.eps_z,
-                               want_noise_preds=want_noise_preds))
-        z_prev = ad.stack([Tensor(noise.z0)] + [st.z for st in steps[:-1]], axis=1)
-        z, mu_z, *pred_z = (ad.stack([getattr(st, f) for st in steps], axis=1)
-                            for f in ("z", "mu_z") + (("pred_z",) if want_noise_preds else ()))
+    net, s = model.lat_noise_net, model.schedule
+    lat_out = ad.reshape(model.lat_net(batch.reshape(B * T, d_x)), (B, T, model.d_z))
+    out = ad.latent_recursion(
+        lat_out, mlp_layers(net.spec, net.params), net.spec.activation, noise.z0, batch,
+        s.sigma_z * noise.eps_z, s.coef_z(np.arange(1, T + 1)),
+        vanilla=model.dynamics == VANILLA_DYNAMICS, want_pred=want_noise_preds)
+    z_prev, z, mu_z, *pred_z = (ad.select(out, k, axis=0) for k in range(out.shape[0]))
     mu_x, pred_x = mean_x_components(model, ad.reshape(z_prev, (B * T, model.d_z)),
                                      np.tile(np.arange(1, T + 1), B),
                                      want_noise_pred=want_noise_preds)

@@ -21,7 +21,6 @@ def make_model(
     seed=0,
     schedule="default",
     dynamics="noise_models",
-    kind="mlp",
 ) -> AlternatorModel:
     if schedule == "default":
         sched = default_schedule(T, sigma_x, sigma_z)
@@ -31,7 +30,7 @@ def make_model(
         sched = schedule
     return build_model(
         d_x=d_x, d_z=d_z, schedule=sched, hidden_dim=hidden_dim, depth=depth,
-        seed=seed, dynamics=dynamics, kind=kind,
+        seed=seed, dynamics=dynamics,
     )
 
 

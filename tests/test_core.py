@@ -572,6 +572,18 @@ def test_checkpoint_with_patched_network_header_allocates_nothing(tmp_path, tiny
     assert peak < 1_000_000, f"{field}={value}: {peak} bytes"
 
 
+def test_checkpoint_with_the_retired_attention_kind_byte_is_checkpoint_error(tmp_path,
+                                                                             tiny_model):
+    # kind byte 1 marked a self-attention network; every network is an MLP (byte 0) now
+    path = tmp_path / "model.alt"
+    save_model(tiny_model, path)
+    first_net = _BETA_AT + 16 * tiny_model.schedule.T
+    assert path.read_bytes()[8 + first_net] == 0
+    _patch_checkpoint(path, first_net, struct.pack("<B", 1))
+    with pytest.raises(CheckpointError, match="unknown network kind"):
+        load_model(path)
+
+
 def test_schedule_rejects_sigma_outside_unit_interval():
     for sx, sz in ((1.5, 0.1), (0.3, 0.0), (0.3, float("nan"))):
         with pytest.raises(ConfigError, match="must lie in"):

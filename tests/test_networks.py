@@ -6,16 +6,7 @@ import pytest
 from alternator import autodiff as ad
 from alternator.autodiff import Tape, Tensor, finite_difference_check
 from alternator.errors import ConfigError, NumericError, ShapeError
-from alternator.networks import (
-    MLP,
-    SELF_ATTENTION,
-    Network,
-    NetworkSpec,
-    _attention_weights,
-    init_parameters,
-    network_forward,
-    self_attention_forward,
-)
+from alternator.networks import Network, NetworkSpec, init_parameters, network_forward
 
 
 def test_one_layer_mlp_identity_weights():
@@ -42,52 +33,6 @@ def test_activation_values():
     # large inputs stay inside (-1, 1); beyond ~19 float64 tanh saturates to 1.0 exactly
     big = ad.tanh(Tensor([15.0, -15.0])).data
     assert np.all(np.abs(big) < 1.0)
-
-
-def _attention_params(d, seed=0):
-    rng = np.random.default_rng(seed)
-    return (Tensor(rng.normal(0, 0.5, (d, d))) for _ in range(3))
-
-
-def test_attention_single_token_is_value_plus_residual():
-    d = 3
-    wq, wk, wv = _attention_params(d)
-    x = Tensor(np.array([[0.3, -0.2, 0.5]]))
-    out = self_attention_forward(x, wq, wk, wv)
-    assert out.data.shape == (1, d)
-    assert np.allclose(out.data, x.data @ wv.data + x.data, atol=1e-12)
-    assert np.array_equal(_attention_weights(x, wq, wk).data, [[1.0]])
-
-
-def test_attention_rows_sum_to_one():
-    rng = np.random.default_rng(2)
-    d, T = 4, 6
-    wq, wk, wv = _attention_params(d, seed=3)
-    x = Tensor(rng.normal(size=(T, d)))
-    A = _attention_weights(x, wq, wk).data
-    assert np.allclose(A.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_attention_zero_projections_is_identity():
-    d, T = 3, 5
-    zeros = Tensor(np.zeros((d, d)))
-    x = Tensor(np.random.default_rng(4).normal(size=(T, d)))
-    out = self_attention_forward(x, zeros, zeros, zeros)
-    assert np.array_equal(out.data, x.data)
-
-
-def test_attention_gradients_match_finite_differences():
-    rng = np.random.default_rng(5)
-    d, T = 3, 4
-    wq = Tensor(rng.normal(0, 0.5, (d, d)))
-    wk = Tensor(rng.normal(0, 0.5, (d, d)))
-    wv = Tensor(rng.normal(0, 0.5, (d, d)))
-    x = Tensor(rng.normal(size=(T, d)))
-
-    def loss():
-        return ad.total_sum(ad.square(self_attention_forward(x, wq, wk, wv)))
-
-    assert finite_difference_check(loss, [wq, wk, wv, x], h=1e-5) <= 1e-4
 
 
 def test_init_same_seed_is_bitwise_identical():
@@ -120,13 +65,12 @@ def test_init_weight_variance_tracks_fan_in():
 
 
 def test_network_forward_zero_params_gives_zero_output():
-    for kind in (MLP, SELF_ATTENTION):
-        spec = NetworkSpec(input_dim=3, output_dim=2, hidden_dim=4, depth=2, kind=kind)
-        params = init_parameters(spec, seed=0)
-        for t in params.values():
-            t.data[:] = 0.0
-        out = network_forward(spec, params, Tensor(np.ones((2, 3))))
-        assert np.array_equal(out.data, np.zeros((2, 2)))
+    spec = NetworkSpec(input_dim=3, output_dim=2, hidden_dim=4, depth=2)
+    params = init_parameters(spec, seed=0)
+    for t in params.values():
+        t.data[:] = 0.0
+    out = network_forward(spec, params, Tensor(np.ones((2, 3))))
+    assert np.array_equal(out.data, np.zeros((2, 2)))
 
 
 def test_network_forward_shape_contract():
@@ -153,40 +97,6 @@ def test_mlp_depth_one_is_single_hidden_block_plus_projection():
     assert np.allclose(out.data, manual, atol=1e-15)
 
 
-def test_attention_network_batched_matches_per_row():
-    spec = NetworkSpec(input_dim=3, output_dim=2, hidden_dim=4, depth=2,
-                       kind=SELF_ATTENTION)
-    net = Network.build(spec, seed=3)
-    x = np.random.default_rng(8).normal(size=(4, 3))
-    batched = net(x).data
-    rows = np.stack([net(x[i]).data for i in range(4)])
-    assert np.allclose(batched, rows, atol=1e-12)
-
-
-def test_attention_network_gradients_match_finite_differences_batched():
-    spec = NetworkSpec(input_dim=3, output_dim=2, hidden_dim=4, depth=2,
-                       kind=SELF_ATTENTION)
-    net = Network.build(spec, seed=6)
-    x = Tensor(np.random.default_rng(1).uniform(-1, 1, (3, 3)))
-
-    def loss():
-        return ad.total_sum(ad.square(net(x)))
-
-    assert finite_difference_check(loss, list(net.params.values()) + [x], h=1e-5) <= 1e-4
-
-
-def test_attention_forward_tape_size_does_not_depend_on_batch():
-    spec = NetworkSpec(input_dim=9, output_dim=2, hidden_dim=16, depth=2,
-                       kind=SELF_ATTENTION)
-    net = Network.build(spec, seed=0)
-    sizes = []
-    for batch in (1, 32):
-        with Tape() as tape:
-            net(np.ones((batch, 9)))
-        sizes.append(len(tape.nodes))
-    assert sizes[0] == sizes[1]
-
-
 def test_mlp_gradients_flow_through_network_forward():
     spec = NetworkSpec(input_dim=3, output_dim=2, hidden_dim=4, depth=2)
     net = Network.build(spec, seed=2)
@@ -203,8 +113,6 @@ def test_spec_validation():
         NetworkSpec(input_dim=0, output_dim=2)
     with pytest.raises(ConfigError):
         NetworkSpec(input_dim=1, output_dim=1, depth=0)
-    with pytest.raises(ConfigError):
-        NetworkSpec(input_dim=1, output_dim=1, kind="transformer")
     with pytest.raises(ConfigError, match="unknown activation"):
         NetworkSpec(input_dim=1, output_dim=1, activation="relu")
 
@@ -222,18 +130,6 @@ def _layer_chain(spec, params, x):
     return _affine(h, params, "out")
 
 
-def _attention_chain(spec, params, x):
-    """The self-attention network as matmul/add/softmax ops, in the network's op order."""
-    B, n, d = x.data.shape[0], spec.input_dim, spec.hidden_dim
-    h = ad.reshape(_affine(ad.reshape(x, (B * n, 1)), params, "embed"), (B, n, d))
-    for i in range(spec.depth):
-        wq, wk, wv = (params[f"attn{i}.{w}"] for w in ("wq", "wk", "wv"))
-        scores = ad.matmul(ad.matmul(h, wq), ad.transpose(ad.matmul(h, wk)))
-        attn = ad.softmax(ad.scale(scores, 1.0 / np.sqrt(d)), axis=-1)
-        h = ad.add(ad.matmul(attn, ad.matmul(h, wv)), h)
-    return _affine(ad.mean_rows(h), params, "out")
-
-
 def _values_and_grads(forward, spec, params, x_data, weight):
     """The output, the input gradient and every parameter gradient of a weighted sum."""
     x = Tensor(x_data.copy())
@@ -241,23 +137,6 @@ def _values_and_grads(forward, spec, params, x_data, weight):
         out = forward(spec, params, x)
         loss = ad.total_sum(ad.mul(out, weight))
     return [out.data] + ad.backward(tape, loss, [x, *params.values()])
-
-
-@pytest.mark.parametrize("activation", ["tanh", "gelu"])
-def test_attention_network_matches_op_chain_bitwise(activation):
-    spec = NetworkSpec(input_dim=3, output_dim=2, hidden_dim=5, depth=2,
-                       kind=SELF_ATTENTION, activation=activation)
-    params = init_parameters(spec, seed=3)
-    rng = np.random.default_rng(4)
-    for t in params.values():
-        t.data += 0.1 * rng.normal(size=t.data.shape)  # nonzero biases
-    x_data = rng.normal(size=(4, 3))
-    weight = Tensor(rng.normal(size=(4, 2)))
-    network = _values_and_grads(network_forward, spec, params, x_data, weight)
-    chain = _values_and_grads(_attention_chain, spec, params, x_data, weight)
-    assert len(network) == len(params) + 2
-    for a, b in zip(network, chain):
-        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "gelu"])

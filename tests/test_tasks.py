@@ -227,6 +227,14 @@ def test_impute_dimension_mismatch(tiny_model):
         impute(tiny_model, np.zeros((4, 3)), MARMask(np.ones(4, bool)), seed=0)
 
 
+def test_impute_zero_length_series_is_config_error():
+    model = make_model(d_x=1)
+    with pytest.raises(ConfigError, match="sequence length must be >= 1"):
+        impute(model, np.zeros((0, 1)), MARMask(np.zeros(0, bool)), seed=0)
+    with pytest.raises(ConfigError, match="sequence length must be >= 1"):
+        impute(model, np.zeros((2, 0, 1)), MARMask(np.zeros((2, 0), bool)), seed=[0, 1])
+
+
 def test_mean_fill_uses_observed_mean():
     xs = np.array([[1.0], [2.0], [3.0], [4.0]])
     mask = MARMask(observed=np.array([True, False, False, True]))
