@@ -12,11 +12,12 @@ returns only its slice, which :func:`backward` adds in place.
 Two ops fuse what would otherwise be many nodes. :func:`mlp` runs a whole
 MLP as one node. :func:`latent_recursion` runs the teacher-forced latent
 recursion, T steps of one MLP and a few elementwise terms, as one node:
-its forward and VJP loop over the steps in plain numpy. Both share the
-MLP's forward and VJP code, so the arithmetic lives in one place.
-:func:`matmul`, :func:`tanh`, :func:`gelu`, :func:`neg` and :func:`mul`
-are on no path of the library: the tests build the fused ops' reference
-op chains and the finite-difference properties from them.
+its forward and VJP loop over the steps in plain numpy; it is the one
+training recursion. Both share the MLP's forward and VJP code, so the
+arithmetic lives in one place. :func:`matmul`, :func:`tanh`, :func:`gelu`,
+:func:`neg`, :func:`mul` and :func:`stack` are on no path of the library:
+the tests build the fused ops' reference op chains and the
+finite-difference properties from them.
 
 The sweep allocates only where the arithmetic needs a new array. The fused
 MLP applies tanh in place on its own pre-activation buffer, and its VJP

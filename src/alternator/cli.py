@@ -64,9 +64,11 @@ DEFAULTS: dict = {
         "dynamics": "noise_models",
         "init_seed": 0,
     },
-    # The TrainConfig defaults; its seed is the run's top-level seed.
-    "train": {f.name: f.default for f in dataclasses.fields(training.TrainConfig)
-              if f.name != "seed"},
+    # The TrainConfig defaults; its seed is the run's top-level seed. The two
+    # other keys name the one training objective; kept so saved configs load.
+    "train": {**{f.name: f.default for f in dataclasses.fields(training.TrainConfig)
+                 if f.name != "seed"},
+              "noise_target_mode": "trajectory", "free_running": False},
     "generate": {"n_samples": 100, "horizon": None},
     "encode": {"mean_propagation": False},
     "impute": {
@@ -197,6 +199,8 @@ _BOUNDS = {
     "train.lr_max": _POSITIVE,
     "train.lr_min": _POSITIVE,
     "train.adam_eps": _POSITIVE,
+    "train.noise_target_mode": _one_of(("trajectory",)),
+    "train.free_running": _one_of((False,)),
     "generate.n_samples": _AT_LEAST_ONE,
     "generate.horizon": _AT_LEAST_ONE,
     "impute.rates": (lambda v: v and all(0 <= r <= 1 for r in v),
@@ -361,7 +365,9 @@ class MetricWriter:
 
 
 def run_train(cfg: dict, out_dir: Path) -> int:
-    train_cfg = training.TrainConfig(seed=cfg["seed"], **cfg["train"])  # before the dataset
+    own = {f.name for f in dataclasses.fields(training.TrainConfig)}  # not the config-only keys
+    train_cfg = training.TrainConfig(  # before the dataset
+        seed=cfg["seed"], **{k: v for k, v in cfg["train"].items() if k in own})
     ds = resolve_dataset(cfg)
     cfg["model"]["d_x"] = ds.n_channels
     model = build_model_from_config(cfg, ds.n_channels, ds.n_steps)

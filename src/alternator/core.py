@@ -261,10 +261,8 @@ def mean_x_components(
     return mu, pred
 
 
-def mean_z_components(
-    model: AlternatorModel, z_prev, x_t, t: int, want_noise_pred: bool = False
-) -> tuple[Tensor, "Tensor | None"]:
-    """(mu_z, latent-noise prediction) at step t; see mean_x_components.
+def mean_z_components(model: AlternatorModel, z_prev, x_t, t: int) -> Tensor:
+    """mu_z at step t; see mean_x_components.
 
     Under vanilla dynamics the second coefficient multiplies z_{t-1}.
     """
@@ -273,12 +271,10 @@ def mean_z_components(
     vanilla = model.dynamics == VANILLA_DYNAMICS
     sqrt_a, c = model.schedule.coef_z(t)
     mu = ad.scale(model.lat_net(x_t), sqrt_a)
-    pred = None
-    if (c != 0.0 and not vanilla) or want_noise_pred:
-        pred = model.lat_noise_net(ad.concat([z_prev, x_t], axis=-1))
     if c != 0.0:
-        mu = ad.add(mu, ad.scale(z_prev if vanilla else pred, c))
-    return mu, pred
+        drive = z_prev if vanilla else model.lat_noise_net(ad.concat([z_prev, x_t], axis=-1))
+        mu = ad.add(mu, ad.scale(drive, c))
+    return mu
 
 
 @dataclass
@@ -289,8 +285,6 @@ class AlternationStep:
     z: Tensor                            # carried latent z_t
     mu_x: "Tensor | None"                # None where mu_x was not evaluated
     mu_z: Tensor
-    pred_x: "Tensor | None"              # noise predictions, None unless requested
-    pred_z: "Tensor | None"
 
 
 def alternate(
@@ -302,16 +296,17 @@ def alternate(
     observed: "np.ndarray | None" = None,
     eps_x: "np.ndarray | None" = None,
     eps_z: "np.ndarray | None" = None,
-    want_noise_preds: bool = False,
 ) -> Iterator[AlternationStep]:
     """Run steps t0+1 .. t0+steps of the alternation over a batch of latents.
 
-    Yields each step's tensors as it is computed. ``z0`` is (B, d_z);
-    ``data``, ``observed``, ``eps_x`` and ``eps_z`` are indexed (B, step,
-    channel), step 0 being t0+1. The arrays passed select the policy. The
+    The one sampling recursion, run record-free (training runs
+    :func:`alternator.autodiff.latent_recursion`). Yields each step's
+    tensors as it is computed. ``z0`` is (B, d_z); ``data``, ``observed``,
+    ``eps_x`` and ``eps_z`` are indexed (B, step, channel), step 0 being
+    t0+1. The arrays passed select the policy. The
     observation is ``data`` where ``observed`` (everywhere without a mask:
     encoding, and the tests' per-step teacher-forcing reference), elsewhere
-    ``mu_x + sigma_x*eps_x`` (free running, generation, forecasting), or
+    ``mu_x + sigma_x*eps_x`` (generation, forecasting), or
     ``mu_x`` when ``eps_x`` is None (the imputation fill); a partly observed
     step feeds its mix as a constant, without gradient. The carried latent
     is ``mu_z + sigma_z*eps_z``, or ``mu_z`` when ``eps_z`` is None (mean
@@ -327,18 +322,18 @@ def alternate(
         t = t0 + i + 1
         obs = data is not None and (observed is None or observed[:, i])
         all_observed = bool(np.all(obs))
-        mu_x = p_x = None
+        mu_x = None
         if not all_observed:
-            mu_x, p_x = mean_x_components(model, z, t, want_noise_pred=want_noise_preds)
+            mu_x, _ = mean_x_components(model, z, t)
         if all_observed:
             x = Tensor(data[:, i])
         else:
             x = mu_x if eps_x is None else ad.shift(mu_x, s.sigma_x * eps_x[:, i])
             if np.any(obs):
                 x = Tensor(np.where(obs, data[:, i], x.data))
-        mu_z, p_z = mean_z_components(model, z, x, t, want_noise_pred=want_noise_preds)
+        mu_z = mean_z_components(model, z, x, t)
         z = mu_z if eps_z is None else ad.shift(mu_z, s.sigma_z * eps_z[:, i])
-        yield AlternationStep(x, z, mu_x, mu_z, p_x, p_z)
+        yield AlternationStep(x, z, mu_x, mu_z)
 
 
 def stack_steps(steps: Iterable[AlternationStep], n: int, *fields: str) -> list[np.ndarray]:

@@ -42,11 +42,17 @@ def _series_blocks(n_series: int, rows_per_series: int) -> list[slice]:
 class MARMask:
     """Missing-at-random mask: True marks an observed timestep.
 
-    ``observed`` is (T,), or (T, d_x) when masked per channel; a mask over a
-    stack of series has a leading (S,) axis.
+    ``observed`` is a boolean (T,), or (T, d_x) when masked per channel; a
+    mask over a stack of series has a leading (S,) axis. Any other dtype is
+    a ShapeError: an int array would index where it should mask.
     """
 
     observed: np.ndarray
+
+    def __post_init__(self):
+        dtype = np.asarray(self.observed).dtype
+        if dtype != np.bool_:
+            raise ShapeError(f"mask must be boolean, got dtype {dtype}")
 
     @staticmethod
     def stack(masks: "Sequence[MARMask]") -> "MARMask":

@@ -16,8 +16,7 @@ recursion, so it is the one network run per step: lat_net runs once over
 the B*T data rows before the recursion, and obs_net and obs_noise_net once
 over the stacked z_0..z_{T-1} after it. The whole recursion, forward and
 backward, is the one tape node :func:`alternator.autodiff.latent_recursion`,
-which loops over the steps in plain numpy. Free running calls all four
-networks at every step and records their ops step by step.
+which loops over the steps in plain numpy.
 
 One step's graph is alive at a time: :func:`alternator.autodiff.backward`
 frees each node's saved buffers as it sweeps, and :func:`train` drops the
@@ -25,12 +24,10 @@ tape, loss and gradients before the Adam update, so the next step's
 forward never runs while the last step's graph is held.
 
 Latents are rolled out per batch (z_0 standard normal, z_t sampled from the
-model); observations feed the rollout from the training data by default
-(teacher forcing), or from the model's own samples under ``free_running``.
-Noise-matching targets come in two flavors: ``trajectory`` matches the
-noise that actually produced the rollout (the injected latent noise, and
-the residual (x - mu_x)/sigma_x implied by the observation), while
-``literal`` draws fresh standard normals as targets.
+model), and the training data feed the rollout (teacher forcing). The
+noise-matching targets are the noise that produced the rollout: the
+injected latent noise, and the residual (x - mu_x)/sigma_x implied by the
+observation.
 """
 
 from __future__ import annotations
@@ -42,13 +39,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .core import VANILLA_DYNAMICS, AlternatorModel, alternate, mean_x_components
+from .core import VANILLA_DYNAMICS, AlternatorModel, mean_x_components
 from .data import SeriesDataset
 from .errors import ConfigError, NumericError, ShapeError
 from .networks import mlp_layers
-
-TRAJECTORY = "trajectory"
-LITERAL = "literal"
 
 
 @dataclass
@@ -64,8 +58,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    noise_target_mode: str = TRAJECTORY
-    free_running: bool = False
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -76,8 +68,6 @@ class TrainConfig:
             raise ConfigError("lr_min must not exceed lr_max")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
             raise ConfigError("Adam betas must lie in [0, 1)")
-        if self.noise_target_mode not in (TRAJECTORY, LITERAL):
-            raise ConfigError(f"unknown noise_target_mode: {self.noise_target_mode!r}")
 
 
 @dataclass
@@ -115,30 +105,12 @@ class RolloutNoise:
 
     z0: np.ndarray                       # (B, d_z)
     eps_z: np.ndarray                    # (B, T, d_z)
-    eps_x: "np.ndarray | None" = None    # (B, T, d_x), free-running only
-    literal_z: "np.ndarray | None" = None
-    literal_x: "np.ndarray | None" = None
 
 
-def draw_rollout_noise(
-    rng: np.random.Generator,
-    batch: int,
-    T: int,
-    d_x: int,
-    d_z: int,
-    mode: str = TRAJECTORY,
-    free_running: bool = False,
-) -> RolloutNoise:
-    noise = RolloutNoise(
-        z0=rng.standard_normal((batch, d_z)),
-        eps_z=rng.standard_normal((batch, T, d_z)),
-    )
-    if free_running:
-        noise.eps_x = rng.standard_normal((batch, T, d_x))
-    if mode == LITERAL:
-        noise.literal_z = rng.standard_normal((batch, T, d_z))
-        noise.literal_x = rng.standard_normal((batch, T, d_x))
-    return noise
+def draw_rollout_noise(rng: np.random.Generator, batch: int, T: int, d_z: int) -> RolloutNoise:
+    """z_0, then the latent noise of every step."""
+    return RolloutNoise(z0=rng.standard_normal((batch, d_z)),
+                        eps_z=rng.standard_normal((batch, T, d_z)))
 
 
 @dataclass
@@ -158,31 +130,24 @@ def rollout(
     model: AlternatorModel,
     batch: np.ndarray,
     noise: RolloutNoise,
-    free_running: bool = False,
     want_noise_preds: bool = True,
 ) -> Rollout:
-    """Run the alternation over a (B, T, d_x) batch and stack each field over time.
+    """Run the teacher-forced alternation over a (B, T, d_x) batch, each field stacked over time.
 
-    Teacher forcing (default) feeds each data observation into the latent
-    update; mu_x is still computed for the loss. Only lat_noise_net then
-    depends on the recursion, and obs_net and obs_noise_net run once over
-    the stacked z_0..z_{T-1} after it. lat_noise_net runs inside
-    :func:`alternator.autodiff.latent_recursion`, one tape node for all T
-    steps, after lat_net has run once over the B*T data rows.
-    ``free_running`` instead propagates the model's own sampled observation,
-    the literal generative recursion, and runs every network at every step
-    through ``alternate``.
+    Each data observation feeds the latent update; mu_x is still computed
+    for the loss. Only lat_noise_net then depends on the recursion, and
+    obs_net and obs_noise_net run once over the stacked z_0..z_{T-1} after
+    it. lat_noise_net runs inside :func:`alternator.autodiff.latent_recursion`,
+    one tape node for all T steps, after lat_net has run once over the B*T
+    data rows. Raises ConfigError, before any network runs, if T exceeds
+    the schedule.
     """
     B, T, d_x = batch.shape
     if d_x != model.d_x:
         raise ShapeError(f"batch channel dim {d_x} != model d_x {model.d_x}")
-    if free_running:
-        steps = list(alternate(model, noise.z0, T, eps_x=noise.eps_x, eps_z=noise.eps_z,
-                               want_noise_preds=want_noise_preds))
-        fields = ("x", "z", "mu_x", "mu_z") + (("pred_x", "pred_z") if want_noise_preds else ())
-        return Rollout(noise, *(ad.stack([getattr(s, f) for s in steps], axis=1) for f in fields))
-
     net, s = model.lat_noise_net, model.schedule
+    if T > s.T:
+        raise ConfigError(f"steps 1..{T} exceed schedule length {s.T}")
     lat_out = ad.reshape(model.lat_net(batch.reshape(B * T, d_x)), (B, T, model.d_z))
     out = ad.latent_recursion(
         lat_out, mlp_layers(net.spec, net.params), net.spec.activation, noise.z0, batch,
@@ -209,28 +174,19 @@ def alternator_loss(model: AlternatorModel, r: Rollout) -> tuple[Tensor, Tensor]
     return ad.scale(z_sum, 1.0 / B), ad.scale(x_sum, w / B)
 
 
-def noise_matching_loss(
-    model: AlternatorModel, r: Rollout, mode: str = TRAJECTORY
-) -> tuple[Tensor, Tensor]:
+def noise_matching_loss(model: AlternatorModel, r: Rollout) -> tuple[Tensor, Tensor]:
     """(latent, gamma-weighted observation) noise-matching terms.
 
-    ``trajectory`` targets are the injected latent noise and the residual
-    (x - mu_x)/sigma_x; ``literal`` targets are fresh standard normals.
-    Steps with beta_t = 0 contribute no observation term (gamma treated as
-    zero rather than dividing by zero).
+    The targets are the injected latent noise and the residual
+    (x - mu_x)/sigma_x. Steps with beta_t = 0 contribute no observation
+    term (gamma treated as zero rather than dividing by zero).
     """
-    if mode not in (TRAJECTORY, LITERAL):
-        raise ConfigError(f"unknown noise-matching mode: {mode!r}")
     if r.pred_z is None:
         raise ConfigError("rollout was built without noise predictions")
     s = model.schedule
     B, T, _ = r.z.shape
-    if mode == TRAJECTORY:
-        target_z = Tensor(r.noise.eps_z)
-        target_x = ad.scale(ad.sub(r.x, r.mu_x), 1.0 / s.sigma_x)
-    else:
-        target_z = Tensor(r.noise.literal_z)
-        target_x = Tensor(r.noise.literal_x)
+    target_z = Tensor(r.noise.eps_z)
+    target_x = ad.scale(ad.sub(r.x, r.mu_x), 1.0 / s.sigma_x)
     on = np.flatnonzero(s.beta[:T])
     gamma = np.zeros(T)
     gamma[on] = gamma_weight(model.d_x, model.d_z, s.sigma_x, s.sigma_z, s.alpha[on], s.beta[on])
@@ -248,8 +204,7 @@ def total_loss(
     """Composite objective on one batch; returns the graph node and floats."""
     lam = config.noise_weight
     try:
-        r = rollout(model, batch, noise, free_running=config.free_running,
-                    want_noise_preds=lam > 0.0)
+        r = rollout(model, batch, noise, want_noise_preds=lam > 0.0)
     except NumericError as exc:
         raise NumericError(f"rollout: {exc}") from exc
     try:
@@ -259,7 +214,7 @@ def total_loss(
     loss = ad.add(alt_z, alt_x)
     if lam > 0.0:
         try:
-            nm_z, nm_x = noise_matching_loss(model, r, config.noise_target_mode)
+            nm_z, nm_x = noise_matching_loss(model, r)
         except NumericError as exc:
             raise NumericError(f"noise-matching term: {exc}") from exc
         loss = ad.add(loss, ad.scale(ad.add(nm_z, nm_x), lam))
@@ -354,10 +309,7 @@ def train(
         for start in range(0, N, config.batch_size):
             idx = perm[start:start + config.batch_size]
             batch = data[idx]
-            noise = draw_rollout_noise(
-                rng, len(idx), T, model.d_x, model.d_z,
-                mode=config.noise_target_mode, free_running=config.free_running,
-            )
+            noise = draw_rollout_noise(rng, len(idx), T, model.d_z)
             try:
                 with Tape() as tape:
                     loss, breakdown = total_loss(model, batch, config, noise)

@@ -112,7 +112,7 @@ def test_criterion_1_gradient_check_full_objective():
     model = build_model(2, 2, default_schedule(2, 0.3, 0.15),
                         hidden_dim=6, depth=2, seed=7)
     batch = np.random.default_rng(0).uniform(-1, 1, size=(1, 2, 2))
-    noise = draw_rollout_noise(np.random.default_rng(1), 1, 2, 2, 2)
+    noise = draw_rollout_noise(np.random.default_rng(1), 1, 2, 2)
     cfg = TrainConfig(epochs=1, batch_size=1, noise_weight=1.0)
 
     def loss_fn():
@@ -142,7 +142,7 @@ def test_criterion_2_vanilla_degeneration():
         want_x = np.sqrt(1.0 - model.schedule.sigma_x**2) * model.obs_net(z).data
         want_z = np.sqrt(float(model.schedule.alpha[t - 1])) * model.lat_net(x).data
         bitwise_ok &= np.array_equal(mean_x_components(model, z, t)[0].data, want_x)
-        bitwise_ok &= np.array_equal(mean_z_components(model, z, x, t)[0].data, want_z)
+        bitwise_ok &= np.array_equal(mean_z_components(model, z, x, t).data, want_z)
     report(2, coef_ok and bitwise_ok,
            "noise-model coefficients exactly 0; means match the classic "
            "alternation bitwise")
@@ -206,11 +206,11 @@ def test_criterion_4_loss_additivity():
     worst = 0.0
     for _ in range(100):
         batch = rng.normal(size=(3, 4, 2))
-        noise = draw_rollout_noise(rng, 3, 4, 2, 3)
+        noise = draw_rollout_noise(rng, 3, 4, 3)
         _, b = total_loss(model, batch, cfg, noise)
         worst = max(worst, abs(b.total - (b.alt_z + b.alt_x + lam * (b.nm_z + b.nm_x))))
     batch = rng.normal(size=(3, 4, 2))
-    noise = draw_rollout_noise(rng, 3, 4, 2, 3)
+    noise = draw_rollout_noise(rng, 3, 4, 3)
     cfg0 = TrainConfig(epochs=1, batch_size=3, noise_weight=0.0)
     loss0, _ = total_loss(model, batch, cfg0, noise)
     alt_z, alt_x = alternator_loss(model, rollout(model, batch, noise, want_noise_preds=False))

@@ -74,21 +74,41 @@ def _leaves(tree, prefix=""):
             yield prefix + key, value
 
 
-@pytest.mark.parametrize("task", cli.TASKS)
-def test_benchmark_config_resolves_for_every_task(tmp_path, monkeypatch, task):
-    # bench/workloads.py pins every config key it runs with; a removed or renamed key
-    # would make each benchmark run exit 2, so it fails here first
+def _bench_workloads(monkeypatch):
+    """bench/workloads.py, loaded by path; nothing under bench/ is written."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)   # its dataclasses look it up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("task", cli.TASKS)
+def test_benchmark_config_resolves_for_every_task(tmp_path, monkeypatch, task):
+    # bench/workloads.py pins every config key it runs with; a removed or renamed key
+    # would make each benchmark run exit 2, so it fails here first
+    workloads = _bench_workloads(monkeypatch)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(workloads.BASE_CONFIG), encoding="utf-8")
     resolved = dict(_leaves(_resolve(task=task, config=config)))
     for name, value in _leaves(workloads.BASE_CONFIG):
         if value is not None:       # a null leaf takes its default
             assert resolved[name] == value, name
+
+
+def test_benchmark_train_config_runs_end_to_end(tmp_path, monkeypatch):
+    # a pinned key that resolves but that run_train then mishandles (one
+    # passed on to TrainConfig, say) fails here rather than in every benchmark run
+    workloads = _bench_workloads(monkeypatch)
+    cfg = json.loads(json.dumps(workloads.BASE_CONFIG))
+    cfg["train"]["epochs"] = 1
+    cfg["dataset"]["path"] = str(tmp_path / "series.csv")
+    workloads.write_csv(workloads.bimodal(4, seed=0), tmp_path / "series.csv")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run_cli("train", "--config", config, "--out", tmp_path / "run") == cli.EXIT_OK
+    assert load_model(tmp_path / "run" / "checkpoint.alt").schedule.T == workloads.T
 
 
 def test_density_defaults_match_benchmark_regime():
@@ -154,17 +174,20 @@ def test_resolved_types_follow_defaults(tmp_path):
 _TRAIN_DEFAULTS = {
     "epochs": 1000, "batch_size": 100, "noise_weight": 0.1, "lr_max": 1e-3, "lr_min": 1e-5,
     "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8,
-    "noise_target_mode": "trajectory", "free_running": False,
 }
+# config-only keys: each takes its one value, and TrainConfig has no field for it
+_TRAIN_CONFIG_ONLY = {"noise_target_mode": "trajectory", "free_running": False}
 
 
 def test_train_defaults_are_pinned_and_shared_with_train_config():
     # compared as JSON, so the resolved config.json keeps its bytes
-    pinned = json.dumps(_TRAIN_DEFAULTS, sort_keys=True)
-    assert json.dumps(_resolve()["train"], sort_keys=True) == pinned
+    resolved = _resolve()["train"]
+    assert json.dumps(resolved, sort_keys=True) == json.dumps(
+        {**_TRAIN_DEFAULTS, **_TRAIN_CONFIG_ONLY}, sort_keys=True)
     fields = dataclasses.asdict(training.TrainConfig())
     assert fields.pop("seed") == 0
-    assert json.dumps(fields, sort_keys=True) == pinned
+    assert json.dumps(fields, sort_keys=True) == json.dumps(
+        {k: v for k, v in resolved.items() if k not in _TRAIN_CONFIG_ONLY}, sort_keys=True)
 
 
 def test_sigma_out_of_range_is_config_error(tmp_path, capsys):
@@ -578,6 +601,8 @@ def test_config_values_never_end_in_traceback(tiny_cfg, trained_run, tmp_path, t
     ("train", "model.sigma_x", "1.0"),
     ("train", "model.sigma_z", "0.0"),
     ("train", "model.kind", "self_attention"),
+    ("train", "train.free_running", "true"),
+    ("train", "train.noise_target_mode", "literal"),
 ])
 def test_config_checks_run_before_any_file_is_read(tmp_path, capsys, task, key, value):
     checkpoint = [] if task == "train" else ["--checkpoint", tmp_path / "missing.alt"]

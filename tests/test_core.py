@@ -150,8 +150,8 @@ def test_mean_x_zero_networks_gives_zero():
 def test_mean_z_boundary_independent_of_z_prev():
     model = make_model(schedule="vanilla", seed=5)
     x = np.array([0.7, 0.1])
-    a = mean_z_components(model, np.zeros(2), x, t=1)[0].data
-    b = mean_z_components(model, np.full(2, 9.0), x, t=1)[0].data
+    a = mean_z_components(model, np.zeros(2), x, t=1).data
+    b = mean_z_components(model, np.full(2, 9.0), x, t=1).data
     expected = np.sqrt(1.0 - model.schedule.sigma_z**2) * model.lat_net(x).data
     assert np.array_equal(a, b)
     assert np.array_equal(a, expected)
@@ -162,7 +162,7 @@ def test_mean_z_alpha_zero_uses_only_noise_network():
                           sigma_x=0.3, sigma_z=0.15)
     model = make_model(T=1, schedule=sched, seed=6)
     z, x = np.array([0.2, -0.3]), np.array([0.5, 0.5])
-    got = mean_z_components(model, z, x, t=1)[0].data
+    got = mean_z_components(model, z, x, t=1).data
     c = np.sqrt(1.0 - 0.0 - 0.15**2)
     pred = model.lat_noise_net(np.concatenate([z, x])).data
     assert np.allclose(got, c * pred, atol=1e-15)
@@ -172,7 +172,7 @@ def test_mean_z_zero_networks_gives_zero():
     model = make_model(seed=7)
     zero_network(model.lat_net)
     zero_network(model.lat_noise_net)
-    mu_z = mean_z_components(model, np.ones(2), np.ones(2), t=1)[0]
+    mu_z = mean_z_components(model, np.ones(2), np.ones(2), t=1)
     assert np.array_equal(mu_z.data, np.zeros(2))
 
 
@@ -189,7 +189,7 @@ def test_vanilla_dynamics_interpolates_previous_latent():
     z, x = np.array([0.3, -0.6]), np.array([0.2, 0.9])
     sqrt_a, c = model.schedule.coef_z(1)
     expected = sqrt_a * model.lat_net(x).data + c * z
-    assert np.allclose(mean_z_components(model, z, x, t=1)[0].data, expected, atol=1e-15)
+    assert np.allclose(mean_z_components(model, z, x, t=1).data, expected, atol=1e-15)
     expected_x = np.sqrt(1 - model.schedule.sigma_x**2) * model.obs_net(z).data
     assert np.array_equal(mean_x_components(model, z, t=1)[0].data, expected_x)
 
@@ -251,7 +251,7 @@ def _reference_generate(model, n, T, seed):
         noise_x = rng.standard_normal((n, model.d_x))
         noise_z = rng.standard_normal((n, model.d_z))
         x = mean_x_components(model, z, t)[0].data + model.schedule.sigma_x * noise_x
-        z = mean_z_components(model, z, x, t)[0].data + model.schedule.sigma_z * noise_z
+        z = mean_z_components(model, z, x, t).data + model.schedule.sigma_z * noise_z
         xs.append(x)
     return np.stack(xs, axis=1)
 
@@ -261,7 +261,7 @@ def _reference_encode(model, xs, seed, mean_propagation):
     z = rng.standard_normal(model.d_z)
     mu_zs = []
     for t in range(1, len(xs) + 1):
-        mu_z = mean_z_components(model, z, xs[t - 1], t)[0].data
+        mu_z = mean_z_components(model, z, xs[t - 1], t).data
         mu_zs.append(mu_z)
         z = mu_z if mean_propagation else (
             mu_z + model.schedule.sigma_z * rng.standard_normal(model.d_z))

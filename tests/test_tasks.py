@@ -110,7 +110,7 @@ def test_impute_missing_value_is_step_mean(tiny_model):
         x_in = xs[t - 1] if observed[t - 1] else mu_x
         if t == 2:
             expected = mu_x
-        cur = mean_z_components(tiny_model, cur, x_in, t)[0].data
+        cur = mean_z_components(tiny_model, cur, x_in, t).data
     assert np.allclose(out[1], expected, atol=1e-12)
     assert np.array_equal(out[0], xs[0])
 
@@ -126,7 +126,7 @@ def _reference_impute(model, masked, observed, seed, n_samples, mean_propagation
         for t in range(1, len(masked) + 1):
             x_in = np.where(obs[t - 1], data[t - 1], mean_x_components(model, z, t)[0].data)
             acc[t - 1] += x_in
-            z = mean_z_components(model, z, x_in, t)[0].data
+            z = mean_z_components(model, z, x_in, t).data
             if not mean_propagation:
                 z = z + model.schedule.sigma_z * rng.standard_normal(model.d_z)
     out = acc / n_samples
@@ -244,6 +244,19 @@ def test_mean_fill_uses_observed_mean():
     assert np.array_equal(out[:, 0], [1.0, 2.5, 2.5, 4.0])
 
 
+@pytest.mark.parametrize("caller", ["impute", "mean_fill"])
+def test_non_boolean_mask_is_shape_error_naming_its_dtype(caller):
+    # an int mask indexes where it should mask: mean_fill returned
+    # [1, nan, nan, nan] and impute raised IndexError
+    model = make_model(d_x=1)
+    masked = np.array([[1.0], [np.nan], [3.0], [4.0]])
+    run = {"impute": lambda mask: impute(model, masked, mask, seed=0),
+           "mean_fill": lambda mask: mean_fill(masked, mask)}[caller]
+    with pytest.raises(ShapeError, match="int64"):
+        run(MARMask(np.array([1, 0, 1, 1], dtype=np.int64)))
+    assert not np.isnan(run(MARMask(np.array([True, False, True, True])))).any()
+
+
 # --- forecasting -----------------------------------------------------------
 
 def test_forecast_shapes_and_default_members(tiny_model):
@@ -289,7 +302,7 @@ def test_forecast_matches_reference_loop():
     encode_seed = int(np.random.SeedSequence(entropy=9, spawn_key=(0,)).generate_state(1)[0])
     z = np.random.default_rng(encode_seed).standard_normal(model.d_z)
     for t in range(1, 5):
-        z = mean_z_components(model, z, ctx[t - 1], t)[0].data
+        z = mean_z_components(model, z, ctx[t - 1], t).data
     s = model.schedule
     for m, mseed in enumerate(seeds):
         rng, zm = np.random.default_rng(mseed), z
@@ -297,7 +310,7 @@ def test_forecast_matches_reference_loop():
             t = 5 + h
             x = (mean_x_components(model, zm, t)[0].data
                  + s.sigma_x * rng.standard_normal(model.d_x))
-            zm = (mean_z_components(model, zm, x, t)[0].data
+            zm = (mean_z_components(model, zm, x, t).data
                   + s.sigma_z * rng.standard_normal(model.d_z))
             np.testing.assert_allclose(ens.members[m, h], x, rtol=1e-9, atol=1e-12)
 

@@ -18,9 +18,8 @@ from alternator.core import (
 )
 from alternator.data import synth_bimodal
 from alternator.errors import ConfigError, NumericError, ShapeError
+from alternator import networks
 from alternator.training import (
-    LITERAL,
-    TRAJECTORY,
     AdamState,
     Rollout,
     RolloutNoise,
@@ -109,7 +108,7 @@ def test_noise_matching_zero_when_predictions_match_targets():
         zs=[[[0.0]]], mu_zs=[[[0.0]]], xs=[[[0.5]]], mu_xs=[[[0.5]]],
         eps_z=[[[0.7]]], pred_z=[[[0.7]]], pred_x=[[[0.0]]],
     )
-    nm_z, nm_x = noise_matching_loss(model, r, TRAJECTORY)
+    nm_z, nm_x = noise_matching_loss(model, r)
     assert nm_z.item() == 0.0 and nm_x.item() == 0.0
 
 
@@ -123,7 +122,7 @@ def test_noise_matching_latent_sum_of_squares():
         zs=[[[0.0, 0.0]]], mu_zs=[[[0.0, 0.0]]], xs=[[[0.0]]], mu_xs=[[[9.0]]],
         eps_z=[[[1.0, 1.0]]], pred_z=[[[0.0, 0.0]]], pred_x=[[[0.0]]],
     )
-    nm_z, nm_x = noise_matching_loss(model, r, TRAJECTORY)
+    nm_z, nm_x = noise_matching_loss(model, r)
     assert nm_z.item() == pytest.approx(2.0, abs=1e-12)
     assert nm_x.item() == 0.0
 
@@ -133,9 +132,9 @@ def test_trajectory_target_zero_when_data_equals_mean():
     for net in model.networks().values():
         zero_network(net)
     data = np.zeros((2, 2, 1))
-    noise = draw_rollout_noise(np.random.default_rng(0), 2, 2, 1, 2)
+    noise = draw_rollout_noise(np.random.default_rng(0), 2, 2, 2)
     r = rollout(model, data, noise)
-    nm_z, nm_x = noise_matching_loss(model, r, TRAJECTORY)
+    nm_z, nm_x = noise_matching_loss(model, r)
     # data == mu_x == 0 and pred_x == 0, so the observation term vanishes
     assert nm_x.item() == 0.0
 
@@ -149,7 +148,7 @@ def _toy_batch(B=2, T=3, d_x=1, seed=0):
 def test_total_loss_lambda_zero_equals_alternator_exactly():
     model = make_model(d_x=1, d_z=2, T=3, seed=4)
     batch = _toy_batch()
-    noise = draw_rollout_noise(np.random.default_rng(1), 2, 3, 1, 2)
+    noise = draw_rollout_noise(np.random.default_rng(1), 2, 3, 2)
     cfg0 = TrainConfig(epochs=1, batch_size=2, noise_weight=0.0)
     loss, breakdown = total_loss(model, batch, cfg0, noise)
     r = rollout(model, batch, noise, want_noise_preds=False)
@@ -164,7 +163,7 @@ def test_total_loss_additivity_random_batches():
     rng = np.random.default_rng(2)
     for trial in range(20):
         batch = rng.normal(size=(3, 4, 2))
-        noise = draw_rollout_noise(rng, 3, 4, 2, 3)
+        noise = draw_rollout_noise(rng, 3, 4, 3)
         _, b = total_loss(model, batch, cfg, noise)
         assert b.total == pytest.approx(
             b.alt_z + b.alt_x + 0.7 * (b.nm_z + b.nm_x), abs=1e-10
@@ -175,16 +174,15 @@ def test_total_loss_additivity_random_batches():
 def _per_step_terms(model, batch, noise, cfg):
     """Reference objective as taped ops, summed step by step over the kernel's steps.
 
-    Every network runs at every step (no precomputed lat_net output); where
-    the data feeds the step, mu_x and its noise prediction are computed here
-    from the step's previous latent. Returns [total, alt_z, alt_x, nm_z, nm_x]
-    tensors.
+    Every network runs at every step (no precomputed lat_net output): the
+    data feed each step of ``alternate``, and mu_x and both noise
+    predictions are computed here from the step's previous latent. Returns
+    [total, alt_z, alt_x, nm_z, nm_x] tensors.
     """
     s = model.schedule
     B, T, _ = batch.shape
     w = (model.d_z * s.sigma_z**2) / (model.d_x * s.sigma_x**2)
-    steps = alternate(model, noise.z0, T, data=None if cfg.free_running else batch,
-                      eps_x=noise.eps_x, eps_z=noise.eps_z, want_noise_preds=True)
+    steps = alternate(model, noise.z0, T, data=batch, eps_z=noise.eps_z)
     alt_z = alt_x = nm_z = nm_x = Tensor(0.0)
     z_prev = Tensor(noise.z0)
 
@@ -192,18 +190,13 @@ def _per_step_terms(model, batch, noise, cfg):
         return ad.total_sum(ad.square(ad.sub(a, b)))
 
     for i, step in enumerate(steps):
-        mu_x, pred_x = step.mu_x, step.pred_x
-        if mu_x is None:  # teacher forcing
-            mu_x, pred_x = mean_x_components(model, z_prev, i + 1, want_noise_pred=True)
+        mu_x, pred_x = mean_x_components(model, z_prev, i + 1, want_noise_pred=True)
+        pred_z = model.lat_noise_net(ad.concat([z_prev, step.x], axis=-1))
         z_prev = step.z
         alt_z = ad.add(alt_z, sq(step.z, step.mu_z))
         alt_x = ad.add(alt_x, sq(step.x, mu_x))
-        if cfg.noise_target_mode == TRAJECTORY:
-            target_z = Tensor(noise.eps_z[:, i])
-            target_x = ad.scale(ad.sub(step.x, mu_x), 1.0 / s.sigma_x)
-        else:
-            target_z, target_x = Tensor(noise.literal_z[:, i]), Tensor(noise.literal_x[:, i])
-        nm_z = ad.add(nm_z, sq(target_z, step.pred_z))
+        target_x = ad.scale(ad.sub(step.x, mu_x), 1.0 / s.sigma_x)
+        nm_z = ad.add(nm_z, sq(Tensor(noise.eps_z[:, i]), pred_z))
         if s.beta[i] != 0.0:
             g = gamma_weight(model.d_x, model.d_z, s.sigma_x, s.sigma_z, s.alpha[i], s.beta[i])
             nm_x = ad.add(nm_x, ad.scale(sq(target_x, pred_x), g))
@@ -231,32 +224,35 @@ def _assert_matches_per_step_reference(model, batch, noise, cfg):
         np.testing.assert_allclose(g, ref_g, rtol=1e-10, atol=0.0, err_msg=name)
 
 
-@pytest.mark.parametrize("mode,free_running,lam,beta_lo", [
-    (mode, free_running, lam, 0.1)
-    for mode in (TRAJECTORY, LITERAL) for free_running in (False, True) for lam in (0.0, 0.7)
-] + [(TRAJECTORY, False, 0.7, 0.0)])
-def test_total_loss_matches_per_step_reference(mode, free_running, lam, beta_lo):
+# Each id names the objective (trajectory targets, free_running false), as the
+# CLI config keys do, then lambda and beta_lo.
+@pytest.mark.parametrize("lam,beta_lo", [
+    pytest.param(0.0, 0.1, id="trajectory-False-0.0-0.1"),
+    pytest.param(0.7, 0.1, id="trajectory-False-0.7-0.1"),
+    pytest.param(0.7, 0.0, id="trajectory-False-0.7-0.0"),
+])
+def test_total_loss_matches_per_step_reference(lam, beta_lo):
     # beta_lo = 0 puts beta_1 = 0, where the gamma-weighted term is skipped.
     model = make_model(d_x=2, d_z=3, T=5, seed=21,
                        schedule=default_schedule(5, 0.3, 0.15, beta_span=(beta_lo, 1.0)))
     rng = np.random.default_rng(22)
     batch = rng.normal(size=(4, 5, 2))
-    noise = draw_rollout_noise(rng, 4, 5, 2, 3, mode=mode, free_running=free_running)
-    cfg = TrainConfig(epochs=1, batch_size=4, noise_weight=lam, noise_target_mode=mode,
-                      free_running=free_running)
+    noise = draw_rollout_noise(rng, 4, 5, 3)
+    cfg = TrainConfig(epochs=1, batch_size=4, noise_weight=lam)
     assert (model.schedule.beta[0] == 0.0) == (beta_lo == 0.0)
     _assert_matches_per_step_reference(model, batch, noise, cfg)
 
 
-@pytest.mark.parametrize("free_running", [False, True])
-@pytest.mark.parametrize("dynamics,B", [("vanilla", 4), ("noise_models", 1)])
-def test_total_loss_matches_per_step_reference_vanilla_and_one_series(dynamics, B,
-                                                                      free_running):
+@pytest.mark.parametrize("dynamics,B", [
+    pytest.param("vanilla", 4, id="vanilla-4-False"),
+    pytest.param("noise_models", 1, id="noise_models-1-False"),
+])
+def test_total_loss_matches_per_step_reference_vanilla_and_one_series(dynamics, B):
     model = make_model(d_x=2, d_z=3, T=5, seed=23, dynamics=dynamics)
     rng = np.random.default_rng(24)
     batch = rng.normal(size=(B, 5, 2))
-    noise = draw_rollout_noise(rng, B, 5, 2, 3, free_running=free_running)
-    cfg = TrainConfig(epochs=1, batch_size=B, noise_weight=0.7, free_running=free_running)
+    noise = draw_rollout_noise(rng, B, 5, 3)
+    cfg = TrainConfig(epochs=1, batch_size=B, noise_weight=0.7)
     _assert_matches_per_step_reference(model, batch, noise, cfg)
 
 
@@ -268,7 +264,7 @@ def test_teacher_forced_tape_size_is_linear_in_steps(T):
     # nodes at any T.
     model = make_model(d_x=1, d_z=3, T=T, hidden_dim=5, seed=25)
     batch = np.random.default_rng(26).normal(size=(4, T, 1))
-    noise = draw_rollout_noise(np.random.default_rng(27), 4, T, 1, 3)
+    noise = draw_rollout_noise(np.random.default_rng(27), 4, T, 3)
     with Tape() as tape:
         total_loss(model, batch, TrainConfig(epochs=1, batch_size=4), noise)
     assert len(tape.nodes) == 0 * T + 65
@@ -304,7 +300,7 @@ def test_latent_recursion_matches_op_chain_bitwise(monkeypatch, dynamics, lam, a
                        schedule=default_schedule(5, 0.3, 0.15, alpha_span=alpha_span))
     rng = np.random.default_rng(29)
     batch = rng.normal(size=(B, 5, 2))
-    noise = draw_rollout_noise(rng, B, 5, 2, 3)
+    noise = draw_rollout_noise(rng, B, 5, 3)
     cfg = TrainConfig(epochs=1, batch_size=B, noise_weight=lam)
     params = model.named_parameters()
 
@@ -334,37 +330,21 @@ def test_zero_networks_zero_data_vanilla_schedule_kills_observation_term():
     for net in model.networks().values():
         zero_network(net)
     batch = np.zeros((2, 3, 1))
-    noise = draw_rollout_noise(np.random.default_rng(9), 2, 3, 1, 2)
+    noise = draw_rollout_noise(np.random.default_rng(9), 2, 3, 2)
     cfg = TrainConfig(epochs=1, batch_size=2, noise_weight=1.0)
     _, b = total_loss(model, batch, cfg, noise)
     assert b.alt_x == 0.0  # mu_x = 0 = x exactly
 
 
-def test_teacher_forcing_feeds_data_free_running_feeds_samples():
-    model = make_model(d_x=1, d_z=2, T=2, seed=6)
-    batch = _toy_batch(B=1, T=2)
-    noise = draw_rollout_noise(np.random.default_rng(3), 1, 2, 1, 2, free_running=True)
-    r_tf = rollout(model, batch, noise, free_running=False)
-    assert np.array_equal(r_tf.x.data, batch)
-    r_fr = rollout(model, batch, noise, free_running=True)
-    expected = r_fr.mu_x.data + model.schedule.sigma_x * noise.eps_x
-    assert np.array_equal(r_fr.x.data, expected)
-
-
-@pytest.mark.parametrize("mode,free_running,dynamics", [
-    pytest.param(TRAJECTORY, False, "noise_models", id="trajectory-False"),
-    pytest.param(LITERAL, False, "noise_models", id="literal-False"),
-    pytest.param(TRAJECTORY, True, "noise_models", id="trajectory-True"),
-    pytest.param(TRAJECTORY, False, "vanilla", id="trajectory-False-vanilla"),
+@pytest.mark.parametrize("dynamics", [
+    pytest.param("noise_models", id="trajectory-False"),
+    pytest.param("vanilla", id="trajectory-False-vanilla"),
 ])
-def test_total_loss_gradients_match_finite_differences(mode, free_running, dynamics):
+def test_total_loss_gradients_match_finite_differences(dynamics):
     model = make_model(d_x=2, d_z=2, T=2, hidden_dim=3, seed=7, dynamics=dynamics)
     batch = np.random.default_rng(4).uniform(-1, 1, size=(2, 2, 2))
-    noise = draw_rollout_noise(
-        np.random.default_rng(5), 2, 2, 2, 2, mode=mode, free_running=free_running
-    )
-    cfg = TrainConfig(epochs=1, batch_size=2, noise_weight=1.0,
-                      noise_target_mode=mode, free_running=free_running)
+    noise = draw_rollout_noise(np.random.default_rng(5), 2, 2, 2)
+    cfg = TrainConfig(epochs=1, batch_size=2, noise_weight=1.0)
 
     def loss_fn():
         return total_loss(model, batch, cfg, noise)[0]
@@ -376,7 +356,7 @@ def test_total_loss_gradients_match_finite_differences(mode, free_running, dynam
 def test_lambda_zero_vanilla_schedule_noise_nets_get_exact_zero_grads():
     model = make_model(d_x=1, d_z=2, T=2, schedule="vanilla", seed=8)
     batch = _toy_batch(B=2, T=2)
-    noise = draw_rollout_noise(np.random.default_rng(6), 2, 2, 1, 2)
+    noise = draw_rollout_noise(np.random.default_rng(6), 2, 2, 2)
     cfg = TrainConfig(epochs=1, batch_size=2, noise_weight=0.0)
     with Tape() as tape:
         loss, _ = total_loss(model, batch, cfg, noise)
@@ -499,7 +479,7 @@ def test_imputation_step_backward_keeps_only_the_gradients_asked_for():
     # (0.29 MiB), 0.3 and 11.9 MiB
     ds = synth_bimodal(32, 50, 0.05, 0)
     model = make_model(d_x=1, d_z=64, T=50, hidden_dim=64, depth=2, seed=0)
-    noise = draw_rollout_noise(np.random.default_rng(0), 32, 50, 1, 64)
+    noise = draw_rollout_noise(np.random.default_rng(0), 32, 50, 64)
     params = list(model.named_parameters().values())
     tracemalloc.start()
     try:
@@ -561,9 +541,25 @@ def test_latent_recursion_overflow_names_lat_noise_net_and_step():
     model.lat_noise_net.params["layer0.weight"].data[2, 0] = 1e308   # the x_t input row
     batch = np.zeros((2, 6, 1))
     batch[:, 2] = 5.0                                              # x_3 overflows it
-    noise = draw_rollout_noise(np.random.default_rng(16), 2, 6, 1, 2)
+    noise = draw_rollout_noise(np.random.default_rng(16), 2, 6, 2)
     with pytest.raises(NumericError, match=r"t=3: lat_noise_net layer 0"):
         total_loss(model, batch, TrainConfig(epochs=1, batch_size=2), noise)
+
+
+def test_series_longer_than_the_schedule_is_config_error_before_any_network_runs(monkeypatch):
+    def no_network(*args):
+        raise AssertionError("a network ran")
+
+    monkeypatch.setattr(networks, "network_forward", no_network)
+    model = make_model(d_x=1, d_z=2, T=4, seed=17)
+    ds = _toy_dataset(N=3, T=6)
+    noise = draw_rollout_noise(np.random.default_rng(18), 3, 6, 2)
+    cfg = TrainConfig(epochs=1, batch_size=3)
+    for run in (lambda: rollout(model, ds.data, noise),
+                lambda: total_loss(model, ds.data, cfg, noise),
+                lambda: train(model, ds, cfg)):
+        with pytest.raises(ConfigError, match=r"steps 1\.\.6 exceed schedule length 4"):
+            run()
 
 
 def test_train_rejects_empty_dataset():
@@ -581,5 +577,3 @@ def test_train_config_validation():
         TrainConfig(lr_max=1e-5, lr_min=1e-3)
     with pytest.raises(ConfigError):
         TrainConfig(noise_weight=-0.1)
-    with pytest.raises(ConfigError):
-        TrainConfig(noise_target_mode="both")
