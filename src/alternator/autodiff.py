@@ -14,9 +14,9 @@ MLP as one node. :func:`latent_recursion` runs the teacher-forced latent
 recursion, T steps of one MLP and a few elementwise terms, as one node:
 its forward and VJP loop over the steps in plain numpy; it is the one
 training recursion. Both share the MLP's forward and VJP code, so the
-arithmetic lives in one place. :func:`matmul`, :func:`tanh`, :func:`gelu`,
-:func:`neg`, :func:`mul` and :func:`stack` are on no path of the library:
-the tests build the fused ops' reference op chains and the
+arithmetic lives in one place; every hidden layer is tanh. :func:`matmul`,
+:func:`tanh`, :func:`neg`, :func:`mul` and :func:`stack` are on no path of
+the library: the tests build the fused ops' reference op chains and the
 finite-difference properties from them.
 
 The sweep allocates only where the arithmetic needs a new array. The fused
@@ -41,8 +41,8 @@ Every operation checks its output for NaN/Inf and raises
 values propagate silently. The fused MLP checks every affine output it
 computes, each hidden pre-activation and the final output, and names the
 layer in its error (:func:`latent_recursion` also names the step); tanh
-and GELU map finite input to finite output, so no activation output needs
-a check of its own, and an overflow that tanh would squash still raises.
+maps finite input to finite output, so no activation output needs a check
+of its own, and an overflow that tanh would squash still raises.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -66,7 +66,6 @@ __all__ = [
     "shift",
     "matmul",
     "tanh",
-    "gelu",
     "square",
     "total_sum",
     "concat",
@@ -261,51 +260,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", out, (a, b), vjp)
 
 
-# Each activation takes a pre-activation buffer that the caller owns and may
-# lose, and returns the activation and a one-shot ``times_derivative(g)``,
-# which returns ``g * act'(x)`` and may consume the activation's buffer. The
-# fused mlp takes both from here. tanh works in place in one buffer; GELU
-# needs its pre-activation for the derivative, so it allocates, and the
-# standalone gelu op uses it too.
-def _tanh_parts(x: np.ndarray):
-    out = np.tanh(x, out=x)
-
-    def times_derivative(g):
-        d = out             # g * (1.0 - out*out): the same operations in the same order
-        d *= d
-        np.subtract(1.0, d, out=d)
-        d *= g
-        return d
-
-    return out, times_derivative
-
-
-_GELU_C = float(np.sqrt(2.0 / np.pi))
-_GELU_A = 0.044715
-
-
-def _gelu_parts(x: np.ndarray):
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
-
-    def times_derivative(g):
-        sech2 = 1.0 - t * t
-        return g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x))
-
-    return 0.5 * x * (1.0 + t), times_derivative
-
-
-_ACTIVATIONS = {"tanh": _tanh_parts, "gelu": _gelu_parts}
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)   # the output is the caller's, so its VJP must not consume it
     return _emit("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def gelu(a: Tensor) -> Tensor:
-    """GELU via the tanh approximation ``0.5*x*(1 + tanh(c*(x + a*x^3)))``."""
-    out, times_derivative = _gelu_parts(a.data)   # reads a.data, consumes nothing
-    return _emit("gelu", out, (a,), lambda g: (times_derivative(g),))
 
 
 def square(a: Tensor) -> Tensor:
@@ -378,7 +335,7 @@ def select(a: Tensor, index: int, axis: int = 0) -> Tensor:
     return _emit("select", np.take(a.data, index, axis=axis), (a,), vjp)
 
 
-def _mlp_forward(x: np.ndarray, layers, activation: str, where: str):
+def _mlp_forward(x: np.ndarray, layers, where: str):
     """The fused MLP's forward on arrays: (output, what :func:`_mlp_vjp` needs).
 
     ``layers`` are (weight, bias) array pairs, the output layer last. Each
@@ -386,12 +343,9 @@ def _mlp_forward(x: np.ndarray, layers, activation: str, where: str):
     and the layer. tanh is applied in place on each hidden pre-activation.
     ``x`` is never written.
     """
-    act = _ACTIVATIONS.get(activation)
-    if act is None:
-        raise ConfigError(f"unknown activation: {activation!r}")
     last = len(layers) - 1
     h = x
-    hs, times_derivatives = [], []   # each layer's input, each hidden layer's g -> g * act'
+    hs = []                          # each layer's input: x, then the hidden activations
     for k, (w, b) in enumerate(layers):
         if h.ndim != 2 or h.shape[1] != w.shape[0] or w.shape[1:] != b.shape:
             raise ShapeError(f"{where} layer {k}: input {h.shape}, weights {w.shape}, "
@@ -401,36 +355,38 @@ def _mlp_forward(x: np.ndarray, layers, activation: str, where: str):
         h += b
         _check_finite(h, f"{where} output" if k == last else f"{where} layer {k}")
         if k < last:
-            h, times_derivative = act(h)
-            times_derivatives.append(times_derivative)
-    return h, (hs, times_derivatives)
+            np.tanh(h, out=h)
+    return h, hs
 
 
-def _mlp_vjp(g: np.ndarray, layers, saved) -> tuple:
-    """Gradients (input, w_0, b_0, w_1, ...) of the MLP whose forward saved ``saved``.
+def _mlp_vjp(g: np.ndarray, layers, hs: list) -> tuple:
+    """Gradients (input, w_0, b_0, w_1, ...) of the MLP whose forward saved ``hs``.
 
     Overwrites each saved hidden activation with that layer's gradient once
-    the layer above has used it, so ``saved`` serves one call.
+    the layer above has used it, so ``hs`` serves one call.
     """
-    hs, times_derivatives = saved
     last = len(layers) - 1
     grads = []
     for k in range(last, -1, -1):
         w, b = layers[k]
         if k < last:
-            g = times_derivatives[k](g)   # may consume hs[k + 1], used by layer k + 1 above
+            d = hs[k + 1]       # g * (1.0 - h*h) in h's buffer, which layer k + 1 has used
+            d *= d
+            np.subtract(1.0, d, out=d)
+            d *= g
+            g = d
         grads += (_unbroadcast(g, b.shape), hs[k].swapaxes(-1, -2) @ g)
         g = g @ w.swapaxes(-1, -2)
     grads.append(g)
     return tuple(reversed(grads))
 
 
-def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]], activation: str) -> Tensor:
-    """Fused MLP, one tape node: ``h = act(h @ W + b)`` per hidden layer, then ``h @ W + b``.
+def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """Fused MLP, one tape node: ``h = tanh(h @ W + b)`` per hidden layer, then ``h @ W + b``.
 
     ``x`` is (batch, in_dim) and ``layers`` the (weight, bias) pairs, the
     output layer last. Forward and VJP do the arithmetic of the
-    matmul/add/activation chain in the same order, so values and gradients
+    matmul/add/tanh chain in the same order, so values and gradients
     are bitwise equal to it. Each affine output is checked for finiteness.
     The hidden activations live in buffers that only this op sees: tanh is
     applied in place on the pre-activation, and the VJP overwrites each
@@ -438,7 +394,7 @@ def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]], activation: str) -> 
     used it. ``x.data`` and the output are never written.
     """
     arrays = [(w.data, b.data) for w, b in layers]
-    out, saved = _mlp_forward(x.data, arrays, activation, "mlp")
+    out, saved = _mlp_forward(x.data, arrays, "mlp")
     inputs = [x] + [t for pair in layers for t in pair]
     return _record(out, inputs, lambda g: _mlp_vjp(g, arrays, saved))
 
@@ -446,7 +402,6 @@ def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]], activation: str) -> 
 def latent_recursion(
     lat_out: Tensor,
     layers: Sequence[tuple[Tensor, Tensor]],
-    activation: str,
     z0: np.ndarray,
     data: np.ndarray,
     z_noise: np.ndarray,
@@ -489,7 +444,7 @@ def latent_recursion(
         mu = lat[:, i] * a[i]
         if runs[i]:
             pred, saved[i] = _mlp_forward(np.concatenate([z, data[:, i]], axis=-1), weights,
-                                          activation, f"{where}: lat_noise_net")
+                                          f"{where}: lat_noise_net")
             if want_pred:
                 out[3, :, i] = pred
         if c[i] != 0.0:

@@ -207,7 +207,6 @@ def build_model(
     schedule: NoiseSchedule,
     hidden_dim: int = 64,
     depth: int = 2,
-    activation: str = "tanh",
     seed: int = 0,
     dynamics: str = NOISE_MODEL_DYNAMICS,
 ) -> AlternatorModel:
@@ -215,9 +214,7 @@ def build_model(
     net_seeds = [spawn_seed(seed, k) for k in range(4)]
 
     def spec(i, o):
-        return NetworkSpec(
-            input_dim=i, output_dim=o, hidden_dim=hidden_dim, depth=depth, activation=activation,
-        )
+        return NetworkSpec(input_dim=i, output_dim=o, hidden_dim=hidden_dim, depth=depth)
 
     return AlternatorModel(
         d_x=d_x,
@@ -423,8 +420,7 @@ def encode_states(
 _MAGIC = b"ALTNCKP1"
 _VERSION = 1
 _MLP_KIND = 0     # a network header's kind byte: every network is an MLP
-_ACT_CODE = {"tanh": 0, "gelu": 1}
-_ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
+_TANH = 0         # its activation byte: every hidden layer is tanh
 _DYN_CODE = {NOISE_MODEL_DYNAMICS: 0, VANILLA_DYNAMICS: 1}
 _DYN_NAME = {v: k for k, v in _DYN_CODE.items()}
 
@@ -433,7 +429,7 @@ def _pack_network(buf: io.BytesIO, net: Network) -> None:
     s = net.spec
     buf.write(struct.pack(
         "<BIIIIB", _MLP_KIND, s.input_dim, s.output_dim,
-        s.hidden_dim, s.depth, _ACT_CODE[s.activation],
+        s.hidden_dim, s.depth, _TANH,
     ))
     buf.write(struct.pack("<I", len(net.params)))
     for name, param in net.params.items():
@@ -484,12 +480,9 @@ class _Reader:
 
 def _unpack_network(r: _Reader) -> Network:
     kind_code, in_dim, out_dim, hidden, depth, act_code = r.unpack("<BIIIIB")
-    if kind_code != _MLP_KIND or act_code not in _ACT_NAME:
+    if kind_code != _MLP_KIND or act_code != _TANH:
         raise CheckpointError("checkpoint contains an unknown network kind/activation")
-    spec = NetworkSpec(
-        input_dim=in_dim, output_dim=out_dim, hidden_dim=hidden, depth=depth,
-        activation=_ACT_NAME[act_code],
-    )
+    spec = NetworkSpec(input_dim=in_dim, output_dim=out_dim, hidden_dim=hidden, depth=depth)
     layout = parameter_shapes(spec)
     (n_params,) = r.unpack("<I")
     params: dict[str, Tensor] = {}

@@ -188,6 +188,8 @@ def pointwise_metrics(y: np.ndarray, yhat: np.ndarray) -> PointwiseMetrics:
     yhat = np.asarray(yhat, dtype=np.float64).reshape(-1)
     if y.shape != yhat.shape:
         raise ShapeError(f"series lengths differ: {y.shape} vs {yhat.shape}")
+    if y.size == 0:
+        raise ConfigError("pointwise metrics need at least one value")
     err = y - yhat
     mae = float(np.abs(err).mean())
     mse = float((err * err).mean())

@@ -1,6 +1,6 @@
 """Network primitives: parameter initialization and the forward pass.
 
-Every network is a tanh (or GELU) MLP with ``depth`` hidden layers followed
+Every network is a tanh MLP with ``depth`` hidden layers followed
 by a linear output projection, run as one fused autodiff op
 (:func:`alternator.autodiff.mlp`), so one call on a whole
 (batch, input_dim) input is one tape node at any depth and batch size.
@@ -23,9 +23,6 @@ from . import autodiff as ad
 from .autodiff import Tensor, _as_tensor
 from .errors import ConfigError, ShapeError
 
-ACTIVATIONS = ("tanh", "gelu")
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture description for one network."""
@@ -34,11 +31,8 @@ class NetworkSpec:
     output_dim: int
     hidden_dim: int = 64
     depth: int = 2
-    activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation: {self.activation!r}")
         if min(self.input_dim, self.output_dim, self.hidden_dim) < 1:
             raise ConfigError("network dimensions must be >= 1")
         if self.depth < 1:
@@ -87,7 +81,7 @@ def network_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor) -> 
         raise ShapeError(
             f"network_forward expects input with last dim {spec.input_dim}, got {x.shape}"
         )
-    out = ad.mlp(x, mlp_layers(spec, params), spec.activation)
+    out = ad.mlp(x, mlp_layers(spec, params))
     if squeeze:
         out = ad.reshape(out, (spec.output_dim,))
     return out

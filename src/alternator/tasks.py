@@ -141,7 +141,9 @@ def impute(
 def mean_fill(masked_xs: np.ndarray, mask: MARMask) -> np.ndarray:
     """Baseline: replace missing entries by the per-channel observed mean."""
     masked_xs = np.asarray(masked_xs, dtype=np.float64)
-    _, d_x = masked_xs.shape
+    if masked_xs.ndim != 2:
+        raise ShapeError(f"expected (T, d_x) series, got {masked_xs.shape}")
+    d_x = masked_xs.shape[1]
     obs = _observed_grid(mask.observed, masked_xs.shape)
     out = masked_xs.copy()
     for j in range(d_x):
@@ -210,6 +212,9 @@ def climatology_forecast(train_data: np.ndarray, t_start: int, horizon: int) -> 
     train_data = np.asarray(train_data, dtype=np.float64)
     if train_data.ndim != 3:
         raise ShapeError(f"expected (N, T, d_x) training data, got {train_data.shape}")
+    if t_start < 0 or horizon < 1:
+        raise ConfigError(f"climatology window needs t_start >= 0 and horizon >= 1, "
+                          f"got {t_start} and {horizon}")
     if t_start + horizon > train_data.shape[1]:
         raise ConfigError("climatology window exceeds training length")
     return train_data[:, t_start:t_start + horizon].mean(axis=0)

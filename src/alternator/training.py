@@ -150,7 +150,7 @@ def rollout(
         raise ConfigError(f"steps 1..{T} exceed schedule length {s.T}")
     lat_out = ad.reshape(model.lat_net(batch.reshape(B * T, d_x)), (B, T, model.d_z))
     out = ad.latent_recursion(
-        lat_out, mlp_layers(net.spec, net.params), net.spec.activation, noise.z0, batch,
+        lat_out, mlp_layers(net.spec, net.params), noise.z0, batch,
         s.sigma_z * noise.eps_z, s.coef_z(np.arange(1, T + 1)),
         vanilla=model.dynamics == VANILLA_DYNAMICS, want_pred=want_noise_preds)
     z_prev, z, mu_z, *pred_z = (ad.select(out, k, axis=0) for k in range(out.shape[0]))

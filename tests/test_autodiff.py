@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from alternator import autodiff as ad
 from alternator.autodiff import Tape, Tensor, backward, finite_difference_check
-from alternator.errors import ConfigError, NumericError, ShapeError
+from alternator.errors import NumericError, ShapeError
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -122,7 +122,7 @@ def test_all_ops_match_finite_differences_on_random_inputs():
     def build():
         h = ad.matmul(a, b)                     # (4, 4)
         h = ad.add(h, c)                        # bias broadcast
-        h = ad.gelu(h)
+        h = ad.tanh(h)
         h = ad.concat([h, ad.square(h)], axis=1)      # (4, 8)
         h = ad.matmul(ad.reshape(h, (2, 2, 8)), d)    # 3-D @ 2-D: (2, 2, 8)
         h = ad.matmul(ad.reshape(h, (2, 8, 2)), h)    # 3-D @ 3-D: (2, 8, 8)
@@ -132,8 +132,8 @@ def test_all_ops_match_finite_differences_on_random_inputs():
         h = ad.stack([ad.select(h, 1, axis=1), ad.select(h, 0, axis=1),
                       ad.select(h, 1, axis=1)], axis=1)            # (2, 3, 8), a slice reused
         rows = ad.reshape(h, (6, 8))
-        h = ad.concat([ad.mlp(rows, layers[:2] + layers[2:], "tanh"),
-                       ad.mlp(rows, [layers[0], layers[2]], "gelu")], axis=1)   # (6, 6)
+        h = ad.concat([ad.mlp(rows, layers[:2] + layers[2:]),
+                       ad.mlp(rows, [layers[0], layers[2]])], axis=1)   # (6, 6)
         return ad.total_sum(ad.mul(h, h))
 
     err = finite_difference_check(build, [a, b, c, d] + mlp_params, h=1e-5)
@@ -168,16 +168,6 @@ def test_forward_is_deterministic_bitwise():
     assert np.array_equal(r1, r2)
 
 
-def test_gelu_zero_and_value_against_exact_gaussian_cdf():
-    x = Tensor(np.array([0.0, 1.0, -1.0]))
-    out = ad.gelu(x).data
-    assert out[0] == 0.0
-    # exact GELU x * Phi(x); tanh approximation is good to ~1e-3
-    from math import erf, sqrt
-    exact = np.array([v * 0.5 * (1 + erf(v / sqrt(2))) for v in x.data])
-    assert np.max(np.abs(out - exact)) <= 1e-3
-
-
 def test_matmul_shape_mismatch_raises():
     a = Tensor(np.ones((1, 2)))
     b = Tensor(np.ones((3, 2)))
@@ -195,7 +185,7 @@ def test_non_finite_result_raises_not_propagates():
 def test_no_nan_for_moderate_inputs():
     rng = np.random.default_rng(13)
     x = Tensor(rng.uniform(-1e3, 1e3, size=(5, 5)))
-    for op in (ad.tanh, ad.gelu, ad.square):
+    for op in (ad.tanh, ad.square):
         assert np.all(np.isfinite(op(x).data))
 
 
@@ -240,15 +230,13 @@ def test_select_takes_one_slice_and_scatters_its_gradient():
     assert np.array_equal(backward(tape, loss, [x])[0], want)
 
 
-def test_mlp_rejects_unknown_activation_and_bad_shapes():
+def test_mlp_rejects_bad_shapes():
     x = Tensor(np.ones((2, 3)))
     w, b = Tensor(np.ones((3, 4))), Tensor(np.ones(4))
-    with pytest.raises(ConfigError):
-        ad.mlp(x, [(w, b)], "relu")
     with pytest.raises(ShapeError):
-        ad.mlp(x, [(Tensor(np.ones((2, 4))), b)], "tanh")
+        ad.mlp(x, [(Tensor(np.ones((2, 4))), b)])
     with pytest.raises(ShapeError):
-        ad.mlp(x, [(w, Tensor(np.ones(3)))], "tanh")
+        ad.mlp(x, [(w, Tensor(np.ones(3)))])
 
 
 # --- one-sweep tapes and borrowed gradients ---------------------------------
@@ -260,7 +248,7 @@ def test_second_backward_on_one_tape_raises():
     layers = [(Tensor(rng.normal(size=(3, 5))), Tensor(rng.normal(size=5))),
               (Tensor(rng.normal(size=(5, 2))), Tensor(rng.normal(size=2)))]
     with Tape() as tape:
-        loss = ad.total_sum(ad.mlp(x, layers, "tanh"))
+        loss = ad.total_sum(ad.mlp(x, layers))
     backward(tape, loss, [x])
     with pytest.raises(ValueError, match="already swept"):
         backward(tape, loss, [x])
@@ -276,7 +264,7 @@ def test_backward_frees_what_the_forward_saved():
     tracemalloc.start()
     try:
         with Tape() as tape:
-            loss = ad.total_sum(ad.mlp(x, layers, "tanh"))
+            loss = ad.total_sum(ad.mlp(x, layers))
         before = tracemalloc.get_traced_memory()[0]
         [g_w0] = backward(tape, loss, [layers[0][0]])
         after = tracemalloc.get_traced_memory()[0]
@@ -311,13 +299,12 @@ def test_gradients_of_results_do_not_share_storage():
             assert np.array_equal(got[j], want[j]), (k, j)
 
 
-@pytest.mark.parametrize("op", [ad.tanh, ad.gelu])
-def test_standalone_activation_keeps_its_output_through_backward(op):
+def test_standalone_tanh_keeps_its_output_through_backward():
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(size=(5, 4)))
     x_before = x.data.copy()
     with Tape() as tape:
-        y = op(x)
+        y = ad.tanh(x)
         loss = ad.total_sum(ad.mul(y, Tensor(rng.normal(size=(5, 4)))))
     y_before = y.data.copy()
     backward(tape, loss, [x])
@@ -343,20 +330,19 @@ def test_select_gradient_lands_in_its_slice_after_a_borrowed_first_contribution(
 
 # --- properties of the fused mlp and of the VJPs ----------------------------
 
-def _chain(x, layers, activation):
-    act = ad.tanh if activation == "tanh" else ad.gelu
+def _chain(x, layers):
     h = x
     for k, (w, b) in enumerate(layers):
         h = ad.add(ad.matmul(h, w), b)
         if k < len(layers) - 1:
-            h = act(h)
+            h = ad.tanh(h)
     return h
 
 
 @settings(max_examples=150, deadline=None)
 @given(rows=st.integers(1, 40), widths=st.lists(st.integers(1, 9), min_size=3, max_size=5),
-       activation=st.sampled_from(["tanh", "gelu"]), seed=st.integers(0, 2**32 - 1))
-def test_fused_mlp_equals_layer_chain_bitwise(rows, widths, activation, seed):
+       seed=st.integers(0, 2**32 - 1))
+def test_fused_mlp_equals_layer_chain_bitwise(rows, widths, seed):
     # widths: input, 1-3 hidden widths, output; the output layer is the last pair
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(rows, widths[0])))
@@ -368,7 +354,7 @@ def test_fused_mlp_equals_layer_chain_bitwise(rows, widths, activation, seed):
     results = []
     for forward in (_chain, ad.mlp):
         with Tape() as tape:
-            out = forward(x, layers, activation)
+            out = forward(x, layers)
             loss = ad.total_sum(ad.mul(out, weight))
         out_before = out.data.copy()
         grads = backward(tape, loss, params)
@@ -379,7 +365,7 @@ def test_fused_mlp_equals_layer_chain_bitwise(rows, widths, activation, seed):
         assert np.array_equal(fused, chain)
 
 
-_UNARY = {"tanh": ad.tanh, "gelu": ad.gelu, "square": ad.square, "neg": ad.neg}
+_UNARY = {"tanh": ad.tanh, "square": ad.square, "neg": ad.neg}
 _BINARY = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "matmul": ad.matmul}
 
 

@@ -603,6 +603,7 @@ def test_config_values_never_end_in_traceback(tiny_cfg, trained_run, tmp_path, t
     ("train", "model.kind", "self_attention"),
     ("train", "train.free_running", "true"),
     ("train", "train.noise_target_mode", "literal"),
+    ("train", "model.activation", "gelu"),
 ])
 def test_config_checks_run_before_any_file_is_read(tmp_path, capsys, task, key, value):
     checkpoint = [] if task == "train" else ["--checkpoint", tmp_path / "missing.alt"]

@@ -552,6 +552,7 @@ def test_checkpoint_with_consistent_crc_but_bad_layout_is_checkpoint_error(tmp_p
     # a u8 code patched as a u32 zeroes the next three bytes; the codes are checked first
     ("kind", 0, 7, "unknown network kind/activation"),
     ("activation", 17, 7, "unknown network kind/activation"),
+    ("activation", 17, 1, "unknown network kind/activation"),   # 1 marked a GELU network
     ("n_params", 18, 5, "fewer parameters than its network spec"),   # the spec has 6
 ])
 def test_checkpoint_with_patched_network_header_allocates_nothing(tmp_path, tiny_model,

@@ -294,3 +294,9 @@ def test_pointwise_constant_series_flags_cc():
 def test_pointwise_length_mismatch():
     with pytest.raises(ShapeError):
         pointwise_metrics(np.ones(3), np.ones(4))
+
+
+def test_pointwise_empty_series_is_config_error():
+    # it returned NaN MAE and MSE with numpy RuntimeWarnings
+    with pytest.raises(ConfigError, match="at least one value"):
+        pointwise_metrics(np.zeros(0), np.zeros((0, 2)))

@@ -10,26 +10,23 @@ from alternator.networks import Network, NetworkSpec, init_parameters, network_f
 
 
 def test_one_layer_mlp_identity_weights():
-    out = ad.mlp(Tensor([[1.0, 2.0]]), [(Tensor(np.eye(2)), Tensor(np.zeros(2)))], "tanh")
+    out = ad.mlp(Tensor([[1.0, 2.0]]), [(Tensor(np.eye(2)), Tensor(np.zeros(2)))])
     assert np.array_equal(out.data, [[1.0, 2.0]])
 
 
 def test_one_layer_mlp_hand_matrix_multiply():
     # [[1,1]] @ [[2,0],[0,3]] + [1,1] = [[3,4]]; one layer is affine, no activation
-    for activation in ("tanh", "gelu"):
-        out = ad.mlp(Tensor([[1.0, 1.0]]),
-                     [(Tensor([[2.0, 0.0], [0.0, 3.0]]), Tensor([1.0, 1.0]))], activation)
-        assert np.array_equal(out.data, [[3.0, 4.0]])
+    out = ad.mlp(Tensor([[1.0, 1.0]]), [(Tensor([[2.0, 0.0], [0.0, 3.0]]), Tensor([1.0, 1.0]))])
+    assert np.array_equal(out.data, [[3.0, 4.0]])
 
 
 def test_one_layer_mlp_dimension_mismatch():
     with pytest.raises(ShapeError, match="mlp layer 0"):
-        ad.mlp(Tensor(np.ones((1, 2))), [(Tensor(np.ones((3, 2))), Tensor(np.ones(2)))], "tanh")
+        ad.mlp(Tensor(np.ones((1, 2))), [(Tensor(np.ones((3, 2))), Tensor(np.ones(2)))])
 
 
 def test_activation_values():
     assert ad.tanh(Tensor([0.0])).data[0] == 0.0
-    assert ad.gelu(Tensor([0.0])).data[0] == 0.0
     # large inputs stay inside (-1, 1); beyond ~19 float64 tanh saturates to 1.0 exactly
     big = ad.tanh(Tensor([15.0, -15.0])).data
     assert np.all(np.abs(big) < 1.0)
@@ -113,8 +110,6 @@ def test_spec_validation():
         NetworkSpec(input_dim=0, output_dim=2)
     with pytest.raises(ConfigError):
         NetworkSpec(input_dim=1, output_dim=1, depth=0)
-    with pytest.raises(ConfigError, match="unknown activation"):
-        NetworkSpec(input_dim=1, output_dim=1, activation="relu")
 
 
 def _affine(h, params, name):
@@ -122,11 +117,10 @@ def _affine(h, params, name):
 
 
 def _layer_chain(spec, params, x):
-    """The MLP as separate matmul/add/activation ops: the reference for the fused op."""
-    act = ad.tanh if spec.activation == "tanh" else ad.gelu
+    """The MLP as separate matmul/add/tanh ops: the reference for the fused op."""
     h = x
     for i in range(spec.depth):
-        h = act(_affine(h, params, f"layer{i}"))
+        h = ad.tanh(_affine(h, params, f"layer{i}"))
     return _affine(h, params, "out")
 
 
@@ -139,11 +133,9 @@ def _values_and_grads(forward, spec, params, x_data, weight):
     return [out.data] + ad.backward(tape, loss, [x, *params.values()])
 
 
-@pytest.mark.parametrize("activation", ["tanh", "gelu"])
 @pytest.mark.parametrize("depth", [1, 2])
-def test_fused_mlp_matches_layer_chain_bitwise(depth, activation):
-    spec = NetworkSpec(input_dim=5, output_dim=3, hidden_dim=7, depth=depth,
-                       activation=activation)
+def test_fused_mlp_matches_layer_chain_bitwise(depth):
+    spec = NetworkSpec(input_dim=5, output_dim=3, hidden_dim=7, depth=depth)
     params = init_parameters(spec, seed=1)
     rng = np.random.default_rng(2)
     for t in params.values():

@@ -1,5 +1,6 @@
 """Masking, imputation, and ensemble forecasting contracts."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -244,6 +245,14 @@ def test_mean_fill_uses_observed_mean():
     assert np.array_equal(out[:, 0], [1.0, 2.5, 2.5, 4.0])
 
 
+@pytest.mark.parametrize("shape", [(2, 4, 1), (4,)])
+def test_mean_fill_on_a_non_series_is_shape_error_naming_the_shape(shape):
+    # a stack of series or a 1-D series failed in tuple unpacking with a bare ValueError
+    mask = MARMask(np.ones(shape[:2] if len(shape) == 3 else shape, dtype=bool))
+    with pytest.raises(ShapeError, match=re.escape(str(shape))):
+        mean_fill(np.ones(shape), mask)
+
+
 @pytest.mark.parametrize("caller", ["impute", "mean_fill"])
 def test_non_boolean_mask_is_shape_error_naming_its_dtype(caller):
     # an int mask indexes where it should mask: mean_fill returned
@@ -372,3 +381,10 @@ def test_climatology_forecast_values():
     assert np.array_equal(clim, np.full((3, 1), 2.0))
     with pytest.raises(ConfigError):
         climatology_forecast(data, t_start=4, horizon=3)
+
+
+@pytest.mark.parametrize("t_start, horizon", [(-2, 3), (0, 0), (1, -1)])
+def test_climatology_window_starting_before_zero_or_empty_is_config_error(t_start, horizon):
+    # each returned an empty (0, 1) window
+    with pytest.raises(ConfigError, match="t_start >= 0 and horizon >= 1"):
+        climatology_forecast(np.zeros((3, 5, 1)), t_start, horizon)

@@ -270,8 +270,7 @@ def test_teacher_forced_tape_size_is_linear_in_steps(T):
     assert len(tape.nodes) == 0 * T + 65
 
 
-def _reference_recursion(lat_out, layers, activation, z0, data, z_noise, coef, vanilla,
-                         want_pred):
+def _reference_recursion(lat_out, layers, z0, data, z_noise, coef, vanilla, want_pred):
     """ad.latent_recursion as a chain of public ops, one step at a time."""
     sqrt_a, c = coef
     z = Tensor(z0)
@@ -281,7 +280,7 @@ def _reference_recursion(lat_out, layers, activation, z0, data, z_noise, coef, v
         mu = ad.scale(ad.select(lat_out, i, axis=1), sqrt_a[i])
         pred = None
         if want_pred or (c[i] != 0.0 and not vanilla):
-            pred = ad.mlp(ad.concat([z, Tensor(data[:, i])], axis=-1), layers, activation)
+            pred = ad.mlp(ad.concat([z, Tensor(data[:, i])], axis=-1), layers)
         if c[i] != 0.0:
             mu = ad.add(mu, ad.scale(z if vanilla else pred, c[i]))
         z = ad.shift(mu, z_noise[:, i])
