@@ -25,7 +25,6 @@ from .data import (
     denormalize,
     load_csv,
     normalize_minmax,
-    split_dataset,
     synth_ar1,
     synth_bimodal,
 )

@@ -14,10 +14,13 @@ MLP as one node. :func:`latent_recursion` runs the teacher-forced latent
 recursion, T steps of one MLP and a few elementwise terms, as one node:
 its forward and VJP loop over the steps in plain numpy; it is the one
 training recursion. Both share the MLP's forward and VJP code, so the
-arithmetic lives in one place; every hidden layer is tanh. :func:`matmul`,
-:func:`tanh`, :func:`neg`, :func:`mul` and :func:`stack` are on no path of
-the library: the tests build the fused ops' reference op chains and the
-finite-difference properties from them.
+arithmetic lives in one place; every hidden layer is tanh. The schedule's
+coefficient rule is written once, in :func:`_mix`: the recursion calls it
+at each step, and both means of :mod:`alternator.core` call :func:`mix`,
+the rule as one node. :func:`matmul`, :func:`tanh`, :func:`neg`,
+:func:`mul` and :func:`stack` are on no path of the library: the tests
+build the fused ops' reference op chains and the finite-difference
+properties from them.
 
 The sweep allocates only where the arithmetic needs a new array. The fused
 MLP applies tanh in place on its own pre-activation buffer, and its VJP
@@ -63,7 +66,7 @@ __all__ = [
     "mul",
     "neg",
     "scale",
-    "shift",
+    "mix",
     "matmul",
     "tanh",
     "square",
@@ -233,15 +236,27 @@ def scale(a: Tensor, c) -> Tensor:
     return _emit("scale", a.data * c, (a,), lambda g: (g * c,))
 
 
-def shift(a: Tensor, c) -> Tensor:
-    """Add a constant array or scalar; ``c`` receives no gradient."""
-    c = np.asarray(c, dtype=np.float64)
-    shape = a.data.shape
+def _mix(first: np.ndarray, a, second: "np.ndarray | None", c) -> np.ndarray:
+    """``first * a + second * c``, a mean network's output mixed with a noise model's.
+
+    Where ``c`` is exactly 0 everywhere the second term is skipped and
+    ``second`` may be None, so the schedule boundary stays bitwise exact.
+    """
+    out = first * a
+    if np.any(c != 0.0):
+        out += second * c
+    return out
+
+
+def mix(first: Tensor, a, second: "Tensor | None", c) -> Tensor:
+    """:func:`_mix` as one node: constant ``a`` and ``c``, ``second`` a parent only if used."""
+    used = bool(np.any(c != 0.0))
+    out = _mix(first.data, a, second.data if used else None, c)
 
     def vjp(g):
-        return (_unbroadcast(g, shape),)
+        return (g * a, g * c) if used else (g * a,)
 
-    return _emit("shift", a.data + c, (a,), vjp)
+    return _emit("mix", out, (first, second) if used else (first,), vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -424,11 +439,12 @@ def latent_recursion(
     stacked on a new leading axis, (K, B, T, d_z): z_{t-1}, z_t, mu_t, and
     pred_t when ``want_pred``.
 
-    Forward and VJP do the arithmetic of the per-step chain of
-    select/scale/concat/mlp/add/shift ops in the same order, and the VJP
-    adds each array's contributions in that chain's reverse node order, so
-    values and gradients are bitwise equal to it. Every affine output and
-    every z_t is checked for finiteness; an error names the step.
+    Each mu_t is :func:`_mix`. Forward and VJP do the arithmetic of the
+    per-step chain of select/scale/concat/mlp/add ops in the same order,
+    and the VJP adds each array's contributions in that chain's reverse
+    node order, so values and gradients are bitwise equal to it. Every
+    affine output and every z_t is checked for finiteness; an error names
+    the step.
     """
     lat = lat_out.data
     B, T, d_z = lat.shape
@@ -441,14 +457,13 @@ def latent_recursion(
     for i in range(T):
         where = f"latent recursion at t={i + 1}"
         out[0, :, i] = z
-        mu = lat[:, i] * a[i]
+        pred = None
         if runs[i]:
             pred, saved[i] = _mlp_forward(np.concatenate([z, data[:, i]], axis=-1), weights,
                                           f"{where}: lat_noise_net")
             if want_pred:
                 out[3, :, i] = pred
-        if c[i] != 0.0:
-            mu += (z if vanilla else pred) * c[i]
+        mu = _mix(lat[:, i], a[i], z if vanilla else pred, c[i])
         z = _check_finite(mu + z_noise[:, i], f"{where}: z")
         out[1, :, i] = z
         out[2, :, i] = mu

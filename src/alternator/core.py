@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _as_tensor
+from .autodiff import Tensor, _as_tensor, _check_finite
 from .data import atomic_write
 from .errors import CheckpointError, ConfigError, ShapeError
 from .networks import Network, NetworkSpec, parameter_shapes
@@ -248,40 +248,39 @@ def mean_x_components(
         sqrt_b, c = model.schedule.coef_x(t)
         if isinstance(t, np.ndarray):  # one coefficient per row
             sqrt_b, c = sqrt_b[:, None], c[:, None]
-    use_noise = np.any(c != 0.0)
-    mu = ad.scale(model.obs_net(z_prev), sqrt_b)
+    first = model.obs_net(z_prev)  # before obs_noise_net, fixing the tape's node order
     pred = None
-    if use_noise or want_noise_pred:
+    if want_noise_pred or np.any(c != 0.0):
         pred = model.obs_noise_net(z_prev)
-    if use_noise:
-        mu = ad.add(mu, ad.scale(pred, c))
-    return mu, pred
+    return ad.mix(first, sqrt_b, pred, c), pred
 
 
 def mean_z_components(model: AlternatorModel, z_prev, x_t, t: int) -> Tensor:
     """mu_z at step t; see mean_x_components.
 
-    Under vanilla dynamics the second coefficient multiplies z_{t-1}.
+    Under vanilla dynamics the second coefficient multiplies z_{t-1}. The
+    noise network's input [z_{t-1}; x_t] is a plain array, so this is a
+    sampling path: no gradient reaches z_{t-1} or x_t through that network
+    (training runs :func:`alternator.autodiff.latent_recursion`).
     """
     z_prev = _as_tensor(z_prev)
     x_t = _as_tensor(x_t)
-    vanilla = model.dynamics == VANILLA_DYNAMICS
     sqrt_a, c = model.schedule.coef_z(t)
-    mu = ad.scale(model.lat_net(x_t), sqrt_a)
-    if c != 0.0:
-        drive = z_prev if vanilla else model.lat_noise_net(ad.concat([z_prev, x_t], axis=-1))
-        mu = ad.add(mu, ad.scale(drive, c))
-    return mu
+    drive = z_prev
+    if model.dynamics != VANILLA_DYNAMICS:
+        drive = None if c == 0.0 else model.lat_noise_net(
+            np.concatenate([z_prev.data, x_t.data], axis=-1))
+    return ad.mix(model.lat_net(x_t), sqrt_a, drive, c)
 
 
 @dataclass
 class AlternationStep:
-    """The tensors of one alternation step."""
+    """The arrays of one alternation step."""
 
-    x: Tensor                            # observation fed to the latent update
-    z: Tensor                            # carried latent z_t
-    mu_x: "Tensor | None"                # None where mu_x was not evaluated
-    mu_z: Tensor
+    x: np.ndarray                        # observation fed to the latent update
+    z: np.ndarray                        # carried latent z_t
+    mu_x: "np.ndarray | None"            # None where mu_x was not evaluated
+    mu_z: np.ndarray
 
 
 def alternate(
@@ -296,40 +295,39 @@ def alternate(
 ) -> Iterator[AlternationStep]:
     """Run steps t0+1 .. t0+steps of the alternation over a batch of latents.
 
-    The one sampling recursion, run record-free (training runs
+    The one sampling recursion, run on arrays (training runs
     :func:`alternator.autodiff.latent_recursion`). Yields each step's
-    tensors as it is computed. ``z0`` is (B, d_z); ``data``, ``observed``,
+    arrays as it is computed. ``z0`` is (B, d_z); ``data``, ``observed``,
     ``eps_x`` and ``eps_z`` are indexed (B, step, channel), step 0 being
     t0+1. The arrays passed select the policy. The
     observation is ``data`` where ``observed`` (everywhere without a mask:
-    encoding, and the tests' per-step teacher-forcing reference), elsewhere
-    ``mu_x + sigma_x*eps_x`` (generation, forecasting), or
-    ``mu_x`` when ``eps_x`` is None (the imputation fill); a partly observed
-    step feeds its mix as a constant, without gradient. The carried latent
+    encoding), elsewhere ``mu_x + sigma_x*eps_x`` (generation, forecasting), or
+    ``mu_x`` when ``eps_x`` is None (the imputation fill). The carried latent
     is ``mu_z + sigma_z*eps_z``, or ``mu_z`` when ``eps_z`` is None (mean
     propagation). mu_x is evaluated only where the observation uses it.
+    A non-finite x_t or z_t raises NumericError naming the step.
     Raises ConfigError, when iteration starts, if the steps run past the
     schedule.
     """
     s = model.schedule
     if t0 + steps > s.T:
         raise ConfigError(f"steps {t0 + 1}..{t0 + steps} exceed schedule length {s.T}")
-    z = _as_tensor(z0)
+    z = np.asarray(z0, dtype=np.float64)
     for i in range(steps):
         t = t0 + i + 1
         obs = data is not None and (observed is None or observed[:, i])
-        all_observed = bool(np.all(obs))
         mu_x = None
-        if not all_observed:
-            mu_x, _ = mean_x_components(model, z, t)
-        if all_observed:
-            x = Tensor(data[:, i])
+        if np.all(obs):
+            x = data[:, i]
         else:
-            x = mu_x if eps_x is None else ad.shift(mu_x, s.sigma_x * eps_x[:, i])
+            mu_x = mean_x_components(model, z, t)[0].data
+            x = mu_x if eps_x is None else _check_finite(
+                mu_x + s.sigma_x * eps_x[:, i], f"alternation at t={t}: x")
             if np.any(obs):
-                x = Tensor(np.where(obs, data[:, i], x.data))
-        mu_z = mean_z_components(model, z, x, t)
-        z = mu_z if eps_z is None else ad.shift(mu_z, s.sigma_z * eps_z[:, i])
+                x = np.where(obs, data[:, i], x)
+        mu_z = mean_z_components(model, z, x, t).data
+        z = mu_z if eps_z is None else _check_finite(
+            mu_z + s.sigma_z * eps_z[:, i], f"alternation at t={t}: z")
         yield AlternationStep(x, z, mu_x, mu_z)
 
 
@@ -340,7 +338,7 @@ def stack_steps(steps: Iterable[AlternationStep], n: int, *fields: str) -> list[
     # peak RSS on the downstream benchmark).
     out: list[np.ndarray] = []
     for i, step in enumerate(steps):
-        values = [getattr(step, name).data for name in fields]
+        values = [getattr(step, name) for name in fields]
         if not out:
             out = [np.empty((v.shape[0], n) + v.shape[1:]) for v in values]
         for o, v in zip(out, values):

@@ -1,4 +1,4 @@
-"""Dataset ingestion, normalization, synthetic generators, splits, and atomic file writes.
+"""Dataset ingestion, normalization, synthetic generators and atomic file writes.
 
 The long CSV format (``series_id,t,v1..vD``) is read in one streaming pass
 that keeps only each row's series index and float cells; the checks, the
@@ -272,24 +272,3 @@ def synth_ar1(
     for t in range(1, T):
         data[:, t] = phi_coeff * data[:, t - 1] + noise_std * steps[:, t - 1]
     return SeriesDataset(data=data[:, :, None])
-
-
-def split_dataset(
-    ds: SeriesDataset, fractions: tuple[float, float, float], seed: int
-) -> tuple[SeriesDataset, SeriesDataset, SeriesDataset]:
-    """Disjoint shuffled (train, val, test) partition covering all series.
-
-    Val/test sizes are floored; the remainder goes to train. All fractions
-    must be strictly positive and sum to 1.
-    """
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise ConfigError("fractions must be three positive values")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"fractions must sum to 1, got {sum(fractions)}")
-    N = ds.n_series
-    n_val = int(np.floor(N * fractions[1]))
-    n_test = int(np.floor(N * fractions[2]))
-    n_train = N - n_val - n_test
-    perm = np.random.default_rng(seed).permutation(N)
-    parts = (perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:])
-    return tuple(replace(ds, data=ds.data[idx]) for idx in parts)

@@ -365,8 +365,35 @@ def test_fused_mlp_equals_layer_chain_bitwise(rows, widths, seed):
         assert np.array_equal(fused, chain)
 
 
+@pytest.mark.parametrize("a,c", [
+    (0.7, -1.3),
+    (np.array([[0.2], [0.9], [0.5], [1.0]]), np.array([[0.4], [0.1], [0.0], [0.3]])),  # per row
+    (0.7, 0.0),
+    (np.array([[0.2], [0.9], [0.5], [1.0]]), np.zeros((4, 1))),
+])
+def test_mix_equals_scale_add_chain_bitwise(a, c):
+    # Where c is 0 everywhere the chain is the first scale alone, and mix
+    # records one parent.
+    rng = np.random.default_rng(31)
+    first, second, weight = (Tensor(rng.normal(size=(4, 3))) for _ in range(3))
+    used = np.any(c != 0.0)
+    chains = (lambda: ad.add(ad.scale(first, a), ad.scale(second, c)) if used
+              else ad.scale(first, a),
+              lambda: ad.mix(first, a, second, c))
+    results = []
+    for build in chains:
+        with Tape() as tape:
+            out = build()
+            loss = ad.total_sum(ad.mul(out, weight))
+        results.append([out.data] + backward(tape, loss, [first, second]))
+    assert len(out.node.parents) == (2 if used else 1)
+    for got, want in zip(results[1], results[0]):
+        assert np.array_equal(got, want)
+
+
 _UNARY = {"tanh": ad.tanh, "square": ad.square, "neg": ad.neg}
-_BINARY = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "matmul": ad.matmul}
+_BINARY = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "matmul": ad.matmul,
+           "mix": lambda a, b: ad.mix(a, 0.8, b, np.linspace(-1.2, 0.9, a.shape[0])[:, None])}
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,12 +4,14 @@ import dataclasses
 import struct
 import tracemalloc
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import constant_network, make_model, zero_network
 
+from alternator import core, networks
 from alternator.core import (
     NoiseSchedule,
     alternate,
@@ -22,7 +24,7 @@ from alternator.core import (
     save_model,
     vanilla_schedule,
 )
-from alternator.errors import CheckpointError, ConfigError, ShapeError
+from alternator.errors import CheckpointError, ConfigError, NumericError, ShapeError
 
 
 # --- schedules ---------------------------------------------------------------
@@ -198,7 +200,7 @@ def _sample_step(model, z, t, noise_x, noise_z):
     """One kernel step for one row: (x_t, z_t, mu_x, mu_z) as 1-D arrays."""
     (s,) = alternate(model, np.atleast_2d(z), 1, t0=t - 1,
                      eps_x=np.reshape(noise_x, (1, 1, -1)), eps_z=np.reshape(noise_z, (1, 1, -1)))
-    return s.x.data[0], s.z.data[0], s.mu_x.data[0], s.mu_z.data[0]
+    return s.x[0], s.z[0], s.mu_x[0], s.mu_z[0]
 
 
 def test_sample_step_zero_noise_returns_means(tiny_model):
@@ -311,9 +313,34 @@ def test_alternate_skips_observation_mean_where_data_is_used(tiny_model):
     observed[:, 1, 0] = True                  # step 2 partly observed
     s1, s2, s3 = alternate(tiny_model, np.zeros((1, 2)), 3, data=xs, observed=observed)
     assert s1.mu_x is None
-    assert np.array_equal(s1.x.data, xs[:, 0])
-    assert np.array_equal(s2.x.data, [[1.0, s2.mu_x.data[0, 1]]])
+    assert np.array_equal(s1.x, xs[:, 0])
+    assert np.array_equal(s2.x, [[1.0, s2.mu_x[0, 1]]])
     assert s3.x is s3.mu_x                    # no eps_x: the fill is the mean
+
+
+@pytest.mark.parametrize("field", ["eps_x", "eps_z"])
+def test_alternate_names_the_step_of_a_non_finite_state(tiny_model, field):
+    eps = {"eps_x": np.zeros((2, 4, 2)), "eps_z": np.zeros((2, 4, 2))}
+    eps[field][1, 2, 0] = np.inf              # step t=3
+    steps = alternate(tiny_model, np.zeros((2, 2)), 4, **eps)
+    with pytest.raises(NumericError, match=f"t=3: {field[-1]} produced non-finite"):
+        list(steps)
+
+
+def test_generate_batch_reaches_the_counted_module_attributes(monkeypatch, tiny_model):
+    # bench/tracing.py counts these calls through the module attributes; a
+    # call that bypassed one would read zero there, and nothing else fails.
+    calls = Counter()
+    for mod, name in ((core, "mean_x_components"), (core, "mean_z_components"),
+                      (networks, "network_forward")):
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    generate_batch(tiny_model, 3, T=4, seed=0)
+    assert calls["mean_x_components"] == 4 and calls["mean_z_components"] == 4
+    assert calls["network_forward"] >= 1
 
 
 # --- trajectory generation ----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Dataset ingestion, normalization, synthetic generators, splits."""
+"""Dataset ingestion, normalization, synthetic generators."""
 
 import tracemalloc
 
@@ -14,7 +14,6 @@ from alternator.data import (
     load_csv,
     normalize_minmax,
     save_csv,
-    split_dataset,
     synth_ar1,
     synth_bimodal,
 )
@@ -303,36 +302,3 @@ def test_ar1_rejects_nonstationary():
     with pytest.raises(ConfigError):
         synth_ar1(2, 5, phi_coeff=1.0, noise_std=0.1, seed=0)
 
-
-# --- splits ----------------------------------------------------------------
-
-def test_split_floor_allocation():
-    ds = synth_bimodal(10, 4, 0.1, seed=8)
-    tr, va, te = split_dataset(ds, (0.8, 0.1, 0.1), seed=0)
-    assert (tr.n_series, va.n_series, te.n_series) == (8, 1, 1)
-
-
-def test_split_rejects_zero_fraction():
-    ds = synth_bimodal(10, 4, 0.1, seed=8)
-    with pytest.raises(ConfigError):
-        split_dataset(ds, (1.0, 0.0, 0.0), seed=0)
-    with pytest.raises(ConfigError):
-        split_dataset(ds, (0.5, 0.3, 0.3), seed=0)
-
-
-def test_split_partition_disjoint_and_exhaustive():
-    # tag each series with a unique value so membership is checkable
-    data = np.arange(13)[:, None, None] * np.ones((13, 2, 1))
-    ds = SeriesDataset(data)
-    for seed in range(3):
-        parts = split_dataset(ds, (0.55, 0.3, 0.15), seed=seed)
-        ids = np.concatenate([p.data[:, 0, 0] for p in parts])
-        assert sorted(ids.tolist()) == list(range(13))
-
-
-def test_split_deterministic():
-    ds = synth_bimodal(9, 4, 0.1, seed=9)
-    a = split_dataset(ds, (0.5, 0.25, 0.25), seed=1)
-    b = split_dataset(ds, (0.5, 0.25, 0.25), seed=1)
-    for u, v in zip(a, b):
-        assert np.array_equal(u.data, v.data)

@@ -11,7 +11,6 @@ from alternator import autodiff as ad
 from alternator.autodiff import Tape, Tensor, backward, finite_difference_check
 from alternator.core import (
     NoiseSchedule,
-    alternate,
     default_schedule,
     mean_x_components,
     vanilla_schedule,
@@ -172,30 +171,34 @@ def test_total_loss_additivity_random_batches():
 
 
 def _per_step_terms(model, batch, noise, cfg):
-    """Reference objective as taped ops, summed step by step over the kernel's steps.
+    """Reference objective as taped ops, one step at a time.
 
-    Every network runs at every step (no precomputed lat_net output): the
-    data feed each step of ``alternate``, and mu_x and both noise
-    predictions are computed here from the step's previous latent. Returns
-    [total, alt_z, alt_x, nm_z, nm_x] tensors.
+    Every network runs at every step (no precomputed lat_net output), and
+    the data feed each step. Returns [total, alt_z, alt_x, nm_z, nm_x]
+    tensors.
     """
     s = model.schedule
     B, T, _ = batch.shape
     w = (model.d_z * s.sigma_z**2) / (model.d_x * s.sigma_x**2)
-    steps = alternate(model, noise.z0, T, data=batch, eps_z=noise.eps_z)
     alt_z = alt_x = nm_z = nm_x = Tensor(0.0)
     z_prev = Tensor(noise.z0)
 
     def sq(a, b):
         return ad.total_sum(ad.square(ad.sub(a, b)))
 
-    for i, step in enumerate(steps):
+    for i in range(T):
+        x = Tensor(batch[:, i])
         mu_x, pred_x = mean_x_components(model, z_prev, i + 1, want_noise_pred=True)
-        pred_z = model.lat_noise_net(ad.concat([z_prev, step.x], axis=-1))
-        z_prev = step.z
-        alt_z = ad.add(alt_z, sq(step.z, step.mu_z))
-        alt_x = ad.add(alt_x, sq(step.x, mu_x))
-        target_x = ad.scale(ad.sub(step.x, mu_x), 1.0 / s.sigma_x)
+        pred_z = model.lat_noise_net(ad.concat([z_prev, x], axis=-1))
+        sqrt_a, c = s.coef_z(i + 1)
+        mu_z = ad.scale(model.lat_net(x), sqrt_a)
+        if c != 0.0:
+            drive = z_prev if model.dynamics == "vanilla" else pred_z
+            mu_z = ad.add(mu_z, ad.scale(drive, c))
+        z_prev = ad.add(mu_z, Tensor(s.sigma_z * noise.eps_z[:, i]))
+        alt_z = ad.add(alt_z, sq(z_prev, mu_z))
+        alt_x = ad.add(alt_x, sq(x, mu_x))
+        target_x = ad.scale(ad.sub(x, mu_x), 1.0 / s.sigma_x)
         nm_z = ad.add(nm_z, sq(Tensor(noise.eps_z[:, i]), pred_z))
         if s.beta[i] != 0.0:
             g = gamma_weight(model.d_x, model.d_z, s.sigma_x, s.sigma_z, s.alpha[i], s.beta[i])
@@ -260,14 +263,14 @@ def test_total_loss_matches_per_step_reference_vanilla_and_one_series(dynamics, 
 def test_teacher_forced_tape_size_is_linear_in_steps(T):
     # The whole latent recursion is one tape node, so the per-step term is
     # zero: the tape holds the three batched networks, the recursion, the
-    # field selects, the loss terms and the parameter and noise leaves, 65
+    # field selects, the loss terms and the parameter and noise leaves, 63
     # nodes at any T.
     model = make_model(d_x=1, d_z=3, T=T, hidden_dim=5, seed=25)
     batch = np.random.default_rng(26).normal(size=(4, T, 1))
     noise = draw_rollout_noise(np.random.default_rng(27), 4, T, 3)
     with Tape() as tape:
         total_loss(model, batch, TrainConfig(epochs=1, batch_size=4), noise)
-    assert len(tape.nodes) == 0 * T + 65
+    assert len(tape.nodes) == 0 * T + 63
 
 
 def _reference_recursion(lat_out, layers, z0, data, z_noise, coef, vanilla, want_pred):
@@ -283,7 +286,7 @@ def _reference_recursion(lat_out, layers, z0, data, z_noise, coef, vanilla, want
             pred = ad.mlp(ad.concat([z, Tensor(data[:, i])], axis=-1), layers)
         if c[i] != 0.0:
             mu = ad.add(mu, ad.scale(z if vanilla else pred, c[i]))
-        z = ad.shift(mu, z_noise[:, i])
+        z = ad.add(mu, Tensor(z_noise[:, i]))
         for field, value in zip(fields[1:], (z, mu, pred)):
             field.append(value)
     kept = fields if want_pred else fields[:3]
